@@ -28,6 +28,7 @@ use gorder_graph::Permutation;
 use gorder_graph::{io, io_mm, Graph};
 use gorder_obs::OrderEvent;
 use gorder_orders::{run_ordering, CacheKey, OrderCache, OrderStats, OrderingAlgorithm};
+use std::borrow::Cow;
 use std::path::Path;
 use std::time::Duration;
 
@@ -87,6 +88,9 @@ impl From<GraphIoError> for CliError {
 pub struct CmdOutput {
     /// Human-readable one-line report.
     pub report: String,
+    /// The result's checksum: the kernel's for `run`, the cache replay's
+    /// for `simulate` (relabel-invariant for the invariant kernels).
+    pub checksum: u64,
     /// Set when a budgeted stage returned an anytime (partial) result.
     pub degraded: Option<DegradeReason>,
     /// One JSON line of per-kernel execution metrics (`run`/`simulate`
@@ -345,31 +349,6 @@ pub fn resolve_ordering_cached(
     cache: Option<&OrderCache>,
     dataset: Option<&str>,
 ) -> Result<ResolvedOrdering, CliError> {
-    resolve_ordering_with_budget(
-        g,
-        method,
-        window,
-        seed,
-        &budget_from(timeout),
-        cache,
-        dataset,
-    )
-}
-
-/// [`resolve_ordering_cached`] against a caller-owned [`Budget`] instead
-/// of a bare timeout, so long-lived callers (the serve daemon) can hold a
-/// clone and cancel the resolution mid-flight — e.g. when a drain grace
-/// period expires.
-#[allow(clippy::too_many_arguments)]
-pub fn resolve_ordering_with_budget(
-    g: &Graph,
-    method: &str,
-    window: u32,
-    seed: u64,
-    budget: &Budget,
-    cache: Option<&OrderCache>,
-    dataset: Option<&str>,
-) -> Result<ResolvedOrdering, CliError> {
     let o = ordering_by_name(method, window, seed).ok_or_else(|| {
         CliError::Usage(format!(
             "unknown ordering {method:?}; known: {:?}",
@@ -377,11 +356,28 @@ pub fn resolve_ordering_with_budget(
         ))
     })?;
     let key = CacheKey::for_ordering(g, o.as_ref(), seed);
+    resolve_ordering_with_budget(g, o.as_ref(), &key, &budget_from(timeout), cache, dataset)
+}
+
+/// Resolves ordering `o` of `g` under the caller's `key` (which must be
+/// `o`'s key for `g`; holders of a memoized digest build it with
+/// [`CacheKey::with_digest`], so nothing here hashes the graph) and a
+/// caller-owned [`Budget`], so long-lived callers (the serve daemon) can
+/// hold a clone and cancel the resolution mid-flight — e.g. when a drain
+/// grace period expires.
+pub fn resolve_ordering_with_budget(
+    g: &Graph,
+    o: &dyn OrderingAlgorithm,
+    key: &CacheKey,
+    budget: &Budget,
+    cache: Option<&OrderCache>,
+    dataset: Option<&str>,
+) -> Result<ResolvedOrdering, CliError> {
     let event = |status: &str, seconds: f64, stats: OrderStats, hit: bool| OrderEvent {
         dataset: dataset.map(str::to_string),
-        name: o.name().to_string(),
-        params: o.params(),
-        seed,
+        name: key.ordering.clone(),
+        params: key.params.clone(),
+        seed: key.seed,
         graph_digest: key.graph_digest,
         identity: key.identity(),
         status: status.to_string(),
@@ -395,7 +391,7 @@ pub fn resolve_ordering_with_budget(
     };
     if let Some(cache) = cache {
         let t = std::time::Instant::now();
-        if let Some(perm) = cache.load(&key, g.n()) {
+        if let Some(perm) = cache.load(key, g.n()) {
             let stats = OrderStats {
                 nodes_placed: u64::from(perm.len()),
                 threads_used: 1,
@@ -410,10 +406,10 @@ pub fn resolve_ordering_with_budget(
             });
         }
     }
-    match run_ordering(o.as_ref(), g, gorder_orders::ExecPlan::Serial, budget) {
+    match run_ordering(o, g, gorder_orders::ExecPlan::Serial, budget) {
         ExecOutcome::Completed(run) => {
             if let Some(cache) = cache {
-                if let Err(e) = cache.store(&key, &run.perm) {
+                if let Err(e) = cache.store(key, &run.perm) {
                     eprintln!("warning: order cache store failed: {e}");
                 }
             }
@@ -438,24 +434,25 @@ pub fn resolve_ordering_with_budget(
 }
 
 /// Resolves and applies the optional `--method` ordering under an optional
-/// timeout, returning the (re)labelled graph, a report note, and the
-/// degradation marker if the ordering ran out of budget partway.
-fn ordered_graph(
-    g: &Graph,
+/// timeout, returning the graph to run on (borrowed as-is without an
+/// ordering, relabelled otherwise), a report note, and the degradation
+/// marker if the ordering ran out of budget partway.
+fn ordered_graph<'g>(
+    g: &'g Graph,
     ordering: Option<&str>,
     window: u32,
     seed: u64,
     timeout: Option<Duration>,
-) -> Result<(Graph, String, Option<DegradeReason>), CliError> {
+) -> Result<(Cow<'g, Graph>, String, Option<DegradeReason>), CliError> {
     match ordering {
-        None => Ok((g.clone(), "original order".to_string(), None)),
+        None => Ok((Cow::Borrowed(g), "original order".to_string(), None)),
         Some(name) => {
             let (perm, degraded) = compute_ordering_budgeted(g, name, window, seed, timeout)?;
             let note = match degraded {
                 None => format!("{name} order"),
                 Some(reason) => format!("{name} order (degraded: {reason})"),
             };
-            Ok((g.relabel(&perm), note, degraded))
+            Ok((Cow::Owned(g.relabel(&perm)), note, degraded))
         }
     }
 }
@@ -507,6 +504,7 @@ pub fn run_algorithm_budgeted(
     let seconds = t.elapsed().as_secs_f64();
     Ok(CmdOutput {
         report: format!("{algo} over {note}: checksum {checksum:#x} in {seconds:.3}s"),
+        checksum,
         degraded,
         stats_json: Some(stats_json_line(
             a.name(),
@@ -577,6 +575,7 @@ pub fn simulate_algorithm_budgeted(
             s.cache_miss_rate * 100.0,
             b.stall_fraction() * 100.0
         ),
+        checksum,
         degraded,
         stats_json: Some(stats_json_line(algo, ordering, checksum, seconds, &stats)),
         trace_events: vec![kernel_trace_event(

@@ -336,6 +336,7 @@ fn real_main() -> Result<Option<DegradeReason>, CliError> {
                 degraded,
                 stats_json,
                 trace_events,
+                ..
             } = if cmd == "run" {
                 run_algorithm_budgeted(
                     &g,
@@ -401,7 +402,11 @@ fn real_main() -> Result<Option<DegradeReason>, CliError> {
             }
             if let Some(tier) = &reply.tier {
                 eprintln!(
-                    "served tier: {tier}{}",
+                    "served tier: {tier}{}{}",
+                    reply
+                        .checksum
+                        .map(|c| format!(", checksum {c:#x}"))
+                        .unwrap_or_default(),
                     if reply.degraded_serial {
                         " (serial retry after a worker panic)"
                     } else {

@@ -110,6 +110,9 @@ pub struct RemoteReply {
     pub degraded_serial: bool,
     /// Report text (`ok`) or error text (`error`).
     pub report: String,
+    /// Result checksum on `ok` work responses: the kernel's for `run`,
+    /// the cache replay's for `simulate`, the permutation's for `order`.
+    pub checksum: Option<u64>,
     /// Server-side processing seconds.
     pub seconds: f64,
     /// Backoff floor on `busy`.
@@ -217,20 +220,22 @@ fn parse_reply(line: &str) -> Result<RemoteReply, String> {
             .parse::<f64>()
             .map_err(|_| format!("bad \"seconds\": {raw}"))?,
     };
-    let retry_after_ms = match obj.get("retry_after_ms") {
-        None => None,
-        Some(raw) => Some(
-            raw.parse::<u64>()
-                .map_err(|_| format!("bad \"retry_after_ms\": {raw}"))?,
-        ),
+    let field_u64 = |key: &str| -> Result<Option<u64>, String> {
+        obj.get(key)
+            .map(|raw| {
+                raw.parse::<u64>()
+                    .map_err(|_| format!("bad \"{key}\": {raw}"))
+            })
+            .transpose()
     };
     Ok(RemoteReply {
         status,
         tier: field_str(&obj, "tier")?,
         degraded_serial: obj.get("degraded_serial").map(String::as_str) == Some("true"),
         report,
+        checksum: field_u64("checksum")?,
         seconds,
-        retry_after_ms,
+        retry_after_ms: field_u64("retry_after_ms")?,
         attempts: 1,
     })
 }
@@ -377,15 +382,17 @@ mod tests {
     fn parse_reply_classifies_statuses() {
         let ok = parse_reply(
             "{\"status\":\"ok\",\"op\":\"run\",\"tier\":\"degraded\",\"degraded_serial\":true,\
-             \"report\":\"r\",\"seconds\":0.5}",
+             \"checksum\":255,\"report\":\"r\",\"seconds\":0.5}",
         )
         .unwrap();
         assert_eq!(ok.status, "ok");
+        assert_eq!(ok.checksum, Some(255));
         assert_eq!(ok.tier.as_deref(), Some("degraded"));
         assert!(ok.degraded_serial);
         let busy =
             parse_reply("{\"status\":\"busy\",\"op\":\"run\",\"retry_after_ms\":75}").unwrap();
         assert_eq!(busy.retry_after_ms, Some(75));
+        assert_eq!(busy.checksum, None);
         let err = parse_reply("{\"status\":\"error\",\"op\":\"run\",\"error\":\"boom\"}").unwrap();
         assert_eq!(err.report, "boom");
         assert!(parse_reply("not json").is_err());

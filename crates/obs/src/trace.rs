@@ -305,11 +305,12 @@ pub struct ServeEvent {
     pub algo: Option<String>,
     /// Admission outcome: `"ok"`, `"busy"` (shed), or `"error"`.
     pub status: String,
-    /// Degradation tier that served the request: `"cache"` (OrderCache /
-    /// single-flight hit), `"full"` (ordering computed completely),
-    /// `"degraded"` (budget expired mid-build, anytime completion),
-    /// `"original"` (ladder floor: identity ordering). `None` for
-    /// responses with no ordering work (`health`, `busy`, errors).
+    /// Degradation tier that served the request: `"cache"` (layout LRU /
+    /// OrderCache / single-flight hit), `"full"` (ordering computed
+    /// completely), `"degraded"` (budget expired mid-build, anytime
+    /// completion), `"original"` (ladder floor: identity ordering).
+    /// `None` for responses with no ordering work (`health`, `busy`,
+    /// errors).
     pub tier: Option<String>,
     /// Whether a worker panic forced this request onto the serial-retry
     /// rung of the panic ladder.

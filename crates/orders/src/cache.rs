@@ -61,8 +61,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// FNV-1a digest of a graph's CSR content: node count, out-offsets,
 /// out-neighbours (all canonicalised little-endian). Two graphs digest
 /// equal iff they have identical adjacency under identical labels —
-/// exactly the input an ordering sees.
+/// exactly the input an ordering sees. Each call counts in the registry
+/// as `order.graph_digests` (it reads the whole CSR).
 pub fn graph_digest(g: &Graph) -> u64 {
+    gorder_obs::global().counter_add("order.graph_digests", 1);
     let (offsets, neighbors) = g.out_csr();
     let mut h = Fnv::new();
     h.update(&g.n().to_le_bytes());
@@ -91,8 +93,15 @@ pub struct CacheKey {
 impl CacheKey {
     /// Key for running `o` on `g` with `seed`.
     pub fn for_ordering(g: &Graph, o: &dyn OrderingAlgorithm, seed: u64) -> Self {
+        Self::with_digest(graph_digest(g), o, seed)
+    }
+
+    /// Key for running `o` with `seed` on a graph whose [`graph_digest`]
+    /// the caller already holds — long-lived holders of a graph (the
+    /// serve daemon) digest it once instead of once per request.
+    pub fn with_digest(graph_digest: u64, o: &dyn OrderingAlgorithm, seed: u64) -> Self {
         CacheKey {
-            graph_digest: graph_digest(g),
+            graph_digest,
             ordering: o.name().to_string(),
             params: o.params(),
             seed,

@@ -29,6 +29,7 @@ pub mod chdfs;
 pub mod degsort;
 pub mod extensions;
 pub mod gorder_impl;
+pub mod layout_cache;
 pub mod ldg;
 pub mod parallel;
 pub mod rcm;
@@ -44,6 +45,7 @@ pub use cache::{graph_digest, CacheKey, OrderCache};
 pub use chdfs::ChDfs;
 pub use degsort::InDegSort;
 pub use extensions::{Dbg, HubCluster, HubSort};
+pub use layout_cache::{Admission, LayoutCache, LayoutStats};
 pub use ldg::Ldg;
 pub use parallel::ParallelGorder;
 pub use rcm::Rcm;

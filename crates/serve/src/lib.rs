@@ -16,8 +16,10 @@
 //!   degradation ladder (order cache → full computation → budgeted
 //!   anytime result → original order), a per-request panic ladder
 //!   (serial retry, then structured error), single-flight sharing of
-//!   concurrent identical ordering computations, and graceful drain
-//!   that answers every accepted request before exiting.
+//!   concurrent identical ordering computations, a byte-bounded LRU of
+//!   relabelled layouts so repeated runs over one ordering copy and
+//!   relabel nothing, and graceful drain that answers every accepted
+//!   request before exiting.
 //!
 //! The matching client lives in `gorder-cli remote`, with seeded-jitter
 //! exponential backoff that honours `retry_after_ms`.

@@ -26,6 +26,9 @@ options:
   --retry-after-ms N     busy-response retry hint (default 50)
   --trace-out PATH       write a schema-versioned JSONL trace
   --cache-dir PATH       on-disk permutation cache directory
+  --layout-cache-mb N    byte bound of the in-memory LRU of relabelled
+                         layouts, in MB of 10^6 bytes (default: the loaded
+                         datasets' total CSR size; 0 = off)
   --faults SPEC          arm deterministic fault injection (GORDER_FAULTS grammar)
 ";
 
@@ -114,6 +117,10 @@ fn main() -> ExitCode {
             },
             "--trace-out" => cfg.trace_path = Some(PathBuf::from(value)),
             "--cache-dir" => cfg.cache_dir = Some(PathBuf::from(value)),
+            "--layout-cache-mb" => match parse_u64("--layout-cache-mb") {
+                Ok(mb) => cfg.layout_cache_bytes = Some(mb.saturating_mul(1_000_000)),
+                Err(e) => return usage_err(&e),
+            },
             "--faults" => {
                 if let Err(e) = gorder_obs::faults::arm_from_spec(value) {
                     return usage_err(&e);

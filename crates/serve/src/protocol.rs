@@ -16,7 +16,9 @@
 //! `simulate`. Responses carry `status` `ok`, `busy` (shed — retry after
 //! `retry_after_ms`), or `error`; `ok` responses name the degradation
 //! `tier` that actually served the request (`cache`, `full`, `degraded`,
-//! `original`; `null` for control ops).
+//! `original`; `null` for control ops), and work responses carry the
+//! result's `checksum` (the kernel's for `run`, the cache replay's for
+//! `simulate`, the permutation's for `order`).
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, Read};
@@ -192,24 +194,26 @@ pub fn render_request(req: &Request) -> String {
     }
 }
 
-/// An `ok` response: the served tier (`None` for control ops), whether
-/// the panic ladder fell back to a serial retry, the human-readable
-/// report, and processing seconds.
+/// An `ok` response: the served tier and the result checksum (both
+/// `None` for control ops), whether the panic ladder fell back to a
+/// serial retry, the human-readable report, and processing seconds.
 pub fn ok_response(
     op: &str,
     tier: Option<&str>,
     degraded_serial: bool,
+    checksum: Option<u64>,
     report: &str,
     seconds: f64,
 ) -> String {
-    JsonObject::new()
+    let mut o = JsonObject::new()
         .str("status", "ok")
         .str("op", op)
         .opt_str("tier", tier)
-        .bool("degraded_serial", degraded_serial)
-        .str("report", report)
-        .f64("seconds", seconds)
-        .finish()
+        .bool("degraded_serial", degraded_serial);
+    if let Some(c) = checksum {
+        o = o.u64("checksum", c);
+    }
+    o.str("report", report).f64("seconds", seconds).finish()
 }
 
 /// A `busy` (load-shed) response: the admission queue was full; the
@@ -243,6 +247,9 @@ pub struct Response {
     pub tier: Option<String>,
     /// Panic-ladder marker on `ok` responses.
     pub degraded_serial: bool,
+    /// Result checksum on `ok` work responses: the kernel's for `run`,
+    /// the cache replay's for `simulate`, the permutation's for `order`.
+    pub checksum: Option<u64>,
     /// Report text on `ok`, error text on `error`.
     pub report: String,
     /// Processing seconds on `ok`.
@@ -277,6 +284,7 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
         op,
         tier,
         degraded_serial: obj.get("degraded_serial").map(String::as_str) == Some("true"),
+        checksum: field_u64(&obj, "checksum")?,
         report,
         seconds,
         retry_after_ms: field_u64(&obj, "retry_after_ms")?,
@@ -466,17 +474,18 @@ mod tests {
 
     #[test]
     fn response_shapes_parse_back() {
-        let ok = ok_response("run", Some("full"), false, "BFS done", 0.25);
+        let ok = ok_response("run", Some("full"), false, Some(7), "BFS done", 0.25);
         let r = parse_response(&ok).unwrap();
         assert_eq!(
             (r.status.as_str(), r.op.as_str(), r.tier.as_deref()),
             ("ok", "run", Some("full"))
         );
         assert!(!r.degraded_serial);
+        assert_eq!(r.checksum, Some(7));
         assert_eq!(r.report, "BFS done");
 
-        let health = parse_response(&ok_response("health", None, false, "ok", 0.0)).unwrap();
-        assert_eq!(health.tier, None);
+        let health = parse_response(&ok_response("health", None, false, None, "ok", 0.0)).unwrap();
+        assert_eq!((health.tier, health.checksum), (None, None));
 
         let busy = parse_response(&busy_response("run", 40)).unwrap();
         assert_eq!(

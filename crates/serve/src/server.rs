@@ -5,7 +5,8 @@
 //! Every work request is answered from exactly one **tier** of the
 //! degradation ladder, named in the response:
 //!
-//! 1. `cache` — the permutation came from the on-disk
+//! 1. `cache` — the relabelled layout came from the in-memory
+//!    [`LayoutCache`], or the permutation came from the on-disk
 //!    [`OrderCache`] or was shared from a concurrent caller's in-flight
 //!    computation ([`SingleFlight`]);
 //! 2. `full` — computed to completion within the request budget;
@@ -14,6 +15,12 @@
 //! 4. `original` — the ordering produced nothing usable (empty-handed
 //!    timeout or failure), so the request was served over the identity
 //!    ordering rather than failed.
+//!
+//! The request path copies no graph: each dataset is held as an
+//! `Arc<Graph>` beside its content digest (computed once, at bind), runs
+//! over the original labels borrow it, and relabelled layouts of
+//! completed permutations are kept in a byte-bounded LRU, so only the
+//! first `run`/`simulate` of an ordering identity relabels.
 //!
 //! Independently, each request runs under a per-request panic ladder
 //! (mirroring the engine's): a panicking handler is retried once
@@ -33,7 +40,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use gorder_cli::{
@@ -45,7 +52,9 @@ use gorder_engine::parallel::{panic_message, run_tasks_outcomes};
 use gorder_graph::datasets;
 use gorder_graph::{Graph, Permutation};
 use gorder_obs::{faults, ServeEvent, TraceEvent, TraceSink};
-use gorder_orders::{OrderCache, SingleFlight};
+use gorder_orders::{
+    graph_digest, Admission, CacheKey, LayoutCache, OrderCache, OrderingAlgorithm, SingleFlight,
+};
 
 use crate::admission::{Queue, Refused};
 use crate::protocol::{
@@ -82,6 +91,10 @@ pub struct ServerConfig {
     /// On-disk permutation cache directory; `None` disables the cache
     /// tier's persistence (single-flight sharing still applies).
     pub cache_dir: Option<PathBuf>,
+    /// Byte bound of the in-memory LRU of relabelled layouts; `None`
+    /// means the sum of the loaded datasets' `memory_bytes`, and 0
+    /// disables it.
+    pub layout_cache_bytes: Option<u64>,
 }
 
 impl Default for ServerConfig {
@@ -97,6 +110,7 @@ impl Default for ServerConfig {
             retry_after_ms: 50,
             trace_path: None,
             cache_dir: None,
+            layout_cache_bytes: None,
         }
     }
 }
@@ -115,6 +129,21 @@ pub struct DrainSummary {
     pub errors: u64,
 }
 
+/// Registry counters of the layout LRU, shown by the `stats` op.
+const LAYOUT_HITS: &str = "serve.layout.hits";
+const LAYOUT_MISSES: &str = "serve.layout.misses";
+const LAYOUT_EVICTIONS: &str = "serve.layout.evictions";
+/// Registry gauge of the layout LRU's resident bytes.
+const LAYOUT_RESIDENT: &str = "serve.layout.resident_bytes";
+
+/// A pre-loaded dataset: the graph, shared by every request over its
+/// original labels, and its [`graph_digest`], computed once at bind so
+/// no request hashes the graph.
+struct Dataset {
+    graph: Arc<Graph>,
+    digest: u64,
+}
+
 /// Outcome of one ordering resolution, shareable across a single-flight
 /// group (hence `Clone`, and failure carried as data, not `CliError`).
 #[derive(Clone)]
@@ -123,6 +152,9 @@ enum OrderOutcome {
         perm: Permutation,
         degraded: bool,
         cache_hit: bool,
+        /// The relabelled layout, when the leader needed one and its
+        /// permutation was complete.
+        layout: Option<Arc<Graph>>,
     },
     TimedOut,
     Failed(String),
@@ -139,8 +171,9 @@ struct Job {
 pub struct Server {
     listener: TcpListener,
     cfg: ServerConfig,
-    graphs: HashMap<String, Graph>,
+    datasets: HashMap<String, Dataset>,
     cache: Option<OrderCache>,
+    layouts: LayoutCache,
     flights: SingleFlight<OrderOutcome>,
     queue: Queue<Job>,
     draining: AtomicBool,
@@ -164,7 +197,7 @@ impl Server {
         } else {
             cfg.datasets.clone()
         };
-        let mut graphs = HashMap::new();
+        let mut loaded = HashMap::new();
         for name in &names {
             let d = datasets::by_name(name).ok_or_else(|| {
                 std::io::Error::new(
@@ -175,7 +208,22 @@ impl Server {
                     ),
                 )
             })?;
-            graphs.insert(name.clone(), d.build(cfg.scale));
+            let graph = d.build(cfg.scale);
+            let digest = graph_digest(&graph);
+            loaded.insert(
+                name.clone(),
+                Dataset {
+                    graph: Arc::new(graph),
+                    digest,
+                },
+            );
+        }
+        let layout_bound = cfg
+            .layout_cache_bytes
+            .unwrap_or_else(|| loaded.values().map(|d| d.graph.memory_bytes() as u64).sum());
+        // Registered at zero so `stats` lists them before the first request.
+        for counter in [LAYOUT_HITS, LAYOUT_MISSES, LAYOUT_EVICTIONS] {
+            gorder_obs::global().counter_add(counter, 0);
         }
         let cache = match &cfg.cache_dir {
             Some(dir) => Some(OrderCache::new(dir)?),
@@ -204,8 +252,9 @@ impl Server {
         Ok(Server {
             listener,
             cfg,
-            graphs,
+            datasets: loaded,
             cache,
+            layouts: LayoutCache::new(layout_bound),
             flights: SingleFlight::new(),
             queue: Queue::new(queue_cap),
             draining: AtomicBool::new(false),
@@ -408,31 +457,37 @@ impl Server {
             Request::Health => {
                 let report = format!(
                     "ok: {} datasets, queue {}/{}, draining={}",
-                    self.graphs.len(),
+                    self.datasets.len(),
                     self.queue.depth(),
                     self.cfg.queue_cap,
                     self.draining()
                 );
                 self.trace_serve(control_event(op, "ok", 0.0));
-                ok_response(op, None, false, &report, 0.0)
+                ok_response(op, None, false, None, &report, 0.0)
             }
             Request::Stats => {
+                self.publish_layout_gauge();
                 let snap = gorder_obs::global().snapshot();
-                let mut parts: Vec<String> = snap
+                let counters = snap
                     .counters
                     .iter()
                     .filter(|(name, _)| {
                         name.starts_with("serve.") || name.starts_with("faults.fired.serve")
                     })
-                    .map(|(name, v)| format!("{name}={v}"))
-                    .collect();
+                    .map(|(name, v)| format!("{name}={v}"));
+                let gauges = snap
+                    .gauges
+                    .iter()
+                    .filter(|(name, _)| name.starts_with("serve."))
+                    .map(|(name, v)| format!("{name}={v}"));
+                let mut parts: Vec<String> = counters.chain(gauges).collect();
                 parts.sort();
                 self.trace_serve(control_event(op, "ok", 0.0));
-                ok_response(op, None, false, &parts.join(" "), 0.0)
+                ok_response(op, None, false, None, &parts.join(" "), 0.0)
             }
             Request::Shutdown => {
                 self.trace_serve(control_event(op, "ok", 0.0));
-                let resp = ok_response(op, None, false, "draining", 0.0);
+                let resp = ok_response(op, None, false, None, "draining", 0.0);
                 self.begin_drain();
                 resp
             }
@@ -537,7 +592,14 @@ impl Server {
             checksum,
         });
         match outcome {
-            Ok(done) => ok_response(job.op, Some(done.tier), degraded_serial, &report, seconds),
+            Ok(done) => ok_response(
+                job.op,
+                Some(done.tier),
+                degraded_serial,
+                Some(done.checksum),
+                &report,
+                seconds,
+            ),
             Err(e) => error_response(job.op, &e),
         }
     }
@@ -551,7 +613,7 @@ impl Server {
         threads: u32,
         serial_retry: bool,
     ) -> Result<Processed, String> {
-        let g = self.graphs.get(&spec.dataset).ok_or_else(|| {
+        let ds = self.datasets.get(&spec.dataset).ok_or_else(|| {
             format!(
                 "unknown dataset {:?}; loaded: {:?}",
                 spec.dataset,
@@ -559,71 +621,94 @@ impl Server {
             )
         })?;
         let threads = if serial_retry { 1 } else { threads };
-
-        // Resolve the ordering tier first (shared by all three ops).
-        let (ordered, tier) = match &spec.ordering {
-            None => (g.clone(), "full"),
-            Some(name) => {
-                let (outcome, shared) = self.resolve_order(g, name, spec)?;
-                match outcome {
-                    OrderOutcome::Ready {
-                        perm,
-                        degraded,
-                        cache_hit,
-                    } => {
-                        let tier = if shared || cache_hit {
-                            "cache"
-                        } else if degraded {
-                            "degraded"
-                        } else {
-                            "full"
-                        };
-                        if op == "order" {
-                            return Ok(Processed {
-                                tier,
-                                checksum: perm_checksum(&perm),
-                                report: format!(
-                                    "ordered {} with {}: {} nodes (tier {tier})",
-                                    spec.dataset,
-                                    name,
-                                    perm.len()
-                                ),
-                            });
-                        }
-                        (g.relabel(&perm), tier)
-                    }
-                    OrderOutcome::TimedOut | OrderOutcome::Failed(_) => {
-                        // Bottom of the ladder: serve over the original
-                        // order rather than failing the request.
-                        if let OrderOutcome::Failed(msg) = &outcome {
-                            eprintln!("warning: ordering {name} failed ({msg}); serving original");
-                        }
-                        if op == "order" {
-                            let perm = Permutation::identity(g.n());
-                            return Ok(Processed {
-                                tier: "original",
-                                checksum: perm_checksum(&perm),
-                                report: format!(
-                                    "ordering {} exhausted its budget; identity permutation \
-                                     for {} (tier original)",
-                                    name, spec.dataset
-                                ),
-                            });
-                        }
-                        (g.clone(), "original")
-                    }
-                }
-            }
+        let Some(name) = &spec.ordering else {
+            return self.execute(op, spec, &ds.graph, "full", threads);
         };
+        let o = gorder_cli::ordering_by_name(name, spec.window, spec.seed).ok_or_else(|| {
+            format!(
+                "unknown ordering {name:?}; known: {:?}",
+                gorder_cli::ordering_names()
+            )
+        })?;
+        let key = CacheKey::with_digest(ds.digest, o.as_ref(), spec.seed);
+        let identity = key.identity();
+        let wants_layout = op != "order";
+        if wants_layout {
+            if let Some(layout) = self.cached_layout(&identity) {
+                return self.execute(op, spec, &layout, "cache", threads);
+            }
+        }
 
+        // Walk the tier ladder for the permutation.
+        let (outcome, shared) =
+            self.resolve_order(ds, o.as_ref(), &key, &identity, spec, wants_layout)?;
+        match outcome {
+            OrderOutcome::Ready {
+                perm,
+                degraded,
+                cache_hit,
+                layout,
+            } => {
+                let tier = if shared || cache_hit {
+                    "cache"
+                } else if degraded {
+                    "degraded"
+                } else {
+                    "full"
+                };
+                if !wants_layout {
+                    return Ok(Processed {
+                        tier,
+                        checksum: perm_checksum(&perm),
+                        report: format!(
+                            "ordered {} with {}: {} nodes (tier {tier})",
+                            spec.dataset,
+                            name,
+                            perm.len()
+                        ),
+                    });
+                }
+                let layout = layout
+                    .unwrap_or_else(|| self.build_layout(&ds.graph, &perm, &identity, !degraded));
+                self.execute(op, spec, &layout, tier, threads)
+            }
+            OrderOutcome::TimedOut | OrderOutcome::Failed(_) => {
+                // Bottom of the ladder: serve over the original order
+                // rather than failing the request.
+                if let OrderOutcome::Failed(msg) = &outcome {
+                    eprintln!("warning: ordering {name} failed ({msg}); serving original");
+                }
+                if !wants_layout {
+                    let perm = Permutation::identity(ds.graph.n());
+                    return Ok(Processed {
+                        tier: "original",
+                        checksum: perm_checksum(&perm),
+                        report: format!(
+                            "ordering {} exhausted its budget; identity permutation \
+                             for {} (tier original)",
+                            name, spec.dataset
+                        ),
+                    });
+                }
+                self.execute(op, spec, &ds.graph, "original", threads)
+            }
+        }
+    }
+
+    /// Runs the `run`/`simulate` kernel over `g`, already in the layout
+    /// that `tier` of the ladder produced.
+    fn execute(
+        &self,
+        op: &str,
+        spec: &WorkSpec,
+        g: &Graph,
+        tier: &'static str,
+        threads: u32,
+    ) -> Result<Processed, String> {
         let algo = spec.algo.as_deref().expect("work ops validated algo");
         let out = match op {
-            "run" => {
-                run_algorithm_budgeted(&ordered, algo, None, spec.window, spec.seed, None, threads)
-            }
-            "simulate" => {
-                simulate_algorithm_budgeted(&ordered, algo, None, spec.window, spec.seed, None)
-            }
+            "run" => run_algorithm_budgeted(g, algo, None, spec.window, spec.seed, None, threads),
+            "simulate" => simulate_algorithm_budgeted(g, algo, None, spec.window, spec.seed, None),
             other => unreachable!("op {other} dispatched as work"),
         }
         .map_err(|e| match e {
@@ -631,7 +716,7 @@ impl Server {
             other => other.to_string(),
         })?;
         // The inner runner saw an already-relabelled graph (ordering was
-        // resolved through the tier ladder above), so its note claims
+        // resolved through the tier ladder), so its note claims
         // "original order"; name the ordering that actually produced the
         // labels instead.
         let report = match &spec.ordering {
@@ -641,46 +726,83 @@ impl Server {
             }
             _ => out.report,
         };
-        let checksum = gorder_obs::trace::config_hash(&report);
         for ev in &out.trace_events {
             self.trace_event(ev.clone());
         }
         Ok(Processed {
             tier,
-            checksum,
+            checksum: out.checksum,
             report,
         })
     }
 
-    /// Resolves an ordering through the full tier ladder under a
-    /// cancellable budget, with single-flight sharing of concurrent
-    /// identical resolutions. Returns the outcome plus whether it was
-    /// shared from another caller's flight.
-    fn resolve_order(
+    /// The LRU's layout for `identity`, counting the lookup.
+    fn cached_layout(&self, identity: &str) -> Option<Arc<Graph>> {
+        let hit = self.layouts.get(identity);
+        let counter = if hit.is_some() {
+            LAYOUT_HITS
+        } else {
+            LAYOUT_MISSES
+        };
+        gorder_obs::global().counter_add(counter, 1);
+        hit
+    }
+
+    /// Relabels `g` under `perm`. With `admit` — the permutation is
+    /// complete, not a degraded partial result — the layout is offered
+    /// to the LRU.
+    fn build_layout(
         &self,
         g: &Graph,
-        name: &str,
+        perm: &Permutation,
+        identity: &str,
+        admit: bool,
+    ) -> Arc<Graph> {
+        let layout = Arc::new(g.relabel(perm));
+        if admit {
+            if let Admission::Admitted { evicted } =
+                self.layouts.insert(identity, Arc::clone(&layout))
+            {
+                gorder_obs::global().counter_add(LAYOUT_EVICTIONS, evicted);
+            }
+        }
+        layout
+    }
+
+    /// Refreshes the resident-bytes gauge; the registry's readers (the
+    /// `stats` op and the trace flush) call this first.
+    fn publish_layout_gauge(&self) {
+        let resident = self.layouts.stats().resident_bytes;
+        gorder_obs::global().gauge_set(LAYOUT_RESIDENT, resident as f64);
+    }
+
+    /// Resolves ordering `o` of dataset `ds` (keyed `key`) through the
+    /// full tier ladder under a cancellable budget, with single-flight
+    /// sharing of concurrent identical resolutions. With `wants_layout`
+    /// the leader also builds (and offers) the relabelled layout inside
+    /// the flight, so concurrent runs of one identity relabel once.
+    /// Returns the outcome plus whether it was shared from another
+    /// caller's flight.
+    fn resolve_order(
+        &self,
+        ds: &Dataset,
+        o: &dyn OrderingAlgorithm,
+        key: &CacheKey,
+        identity: &str,
         spec: &WorkSpec,
+        wants_layout: bool,
     ) -> Result<(OrderOutcome, bool), String> {
-        let o = gorder_cli::ordering_by_name(name, spec.window, spec.seed).ok_or_else(|| {
-            format!(
-                "unknown ordering {name:?}; known: {:?}",
-                gorder_cli::ordering_names()
-            )
-        })?;
-        let key = gorder_orders::CacheKey::for_ordering(g, o.as_ref(), spec.seed);
         let budget = self.request_budget(spec);
         let budget_id = self.next_budget_id.fetch_add(1, Ordering::Relaxed);
         self.active
             .lock()
             .expect("active budgets lock")
             .push((budget_id, budget.clone()));
-        let result = self.flights.run(&key.identity(), || {
+        let result = self.flights.run(identity, || {
             match resolve_ordering_with_budget(
-                g,
-                name,
-                spec.window,
-                spec.seed,
+                &ds.graph,
+                o,
+                key,
                 &budget,
                 self.cache.as_ref(),
                 Some(&spec.dataset),
@@ -692,10 +814,14 @@ impl Server {
                 }) => {
                     let cache_hit = event.cache_hit;
                     self.trace_event(TraceEvent::Order(event));
+                    let degraded = degraded.is_some();
+                    let layout = (wants_layout && !degraded)
+                        .then(|| self.build_layout(&ds.graph, &perm, identity, true));
                     OrderOutcome::Ready {
                         perm,
-                        degraded: degraded.is_some(),
+                        degraded,
                         cache_hit,
+                        layout,
                     }
                 }
                 Err(CliError::TimedOut) => OrderOutcome::TimedOut,
@@ -733,7 +859,7 @@ impl Server {
     }
 
     fn dataset_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.graphs.keys().map(String::as_str).collect();
+        let mut names: Vec<&str> = self.datasets.keys().map(String::as_str).collect();
         names.sort_unstable();
         names
     }
@@ -751,6 +877,7 @@ impl Server {
     }
 
     fn flush_trace(&self) {
+        self.publish_layout_gauge();
         if let Some(sink) = self.trace.lock().expect("trace lock").as_mut() {
             if let Err(e) = sink.metrics(&gorder_obs::global().snapshot()) {
                 eprintln!("warning: trace metrics flush failed: {e}");

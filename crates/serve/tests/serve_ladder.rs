@@ -371,3 +371,201 @@ fn single_flight_shares_concurrent_identical_orderings() {
     let summary = server.join();
     assert_eq!(summary.accepted, summary.answered, "{summary:?}");
 }
+
+/// `serve.<name>=<value>` from a `stats` report.
+fn stat(report: &str, name: &str) -> f64 {
+    report
+        .split_whitespace()
+        .find_map(|kv| kv.strip_prefix(&format!("{name}=")))
+        .unwrap_or_else(|| panic!("{name} missing from stats: {report}"))
+        .parse()
+        .unwrap()
+}
+
+fn run_request(ordering: Option<&str>, algo: &str) -> RemoteRequest {
+    work_request("run", ordering, Some(algo))
+}
+
+#[test]
+fn identical_runs_share_a_checksum_and_the_second_hits_the_layout_lru() {
+    let _guard = fault_lock();
+    let dir = tmpdir("layout-hit");
+    let mut cfg = test_config();
+    cfg.cache_dir = Some(dir.join("cache"));
+    let server = Running::start(cfg);
+    let addr = server.addr();
+    let policy = RetryPolicy::default();
+
+    let first = call(&addr, &run_request(Some("Gorder"), "BFS"), &policy).unwrap();
+    let second = call(&addr, &run_request(Some("Gorder"), "BFS"), &policy).unwrap();
+    assert_eq!(first.tier.as_deref(), Some("full"));
+    assert_eq!(second.tier.as_deref(), Some("cache"));
+    assert!(first.checksum.is_some(), "work replies carry a checksum");
+    assert_eq!(first.checksum, second.checksum, "identical requests agree");
+    // The reply field is the kernel's own checksum, the same one the
+    // report prints.
+    let shown = format!("checksum {:#x}", first.checksum.unwrap());
+    assert!(second.report.contains(&shown), "{}", second.report);
+
+    let stats = call(&addr, &RemoteRequest::control("stats"), &policy).unwrap();
+    assert!(
+        stat(&stats.report, "serve.layout.hits") >= 1.0,
+        "{}",
+        stats.report
+    );
+    let bound = gorder_graph::datasets::by_name("wiki")
+        .unwrap()
+        .build(0.02)
+        .memory_bytes() as f64;
+    let resident = stat(&stats.report, "serve.layout.resident_bytes");
+    assert!(resident > 0.0 && resident <= bound, "{}", stats.report);
+
+    server.sigterm();
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn relabel_invariant_kernel_checksum_survives_every_ordering() {
+    let _guard = fault_lock();
+    let server = Running::start(test_config());
+    let addr = server.addr();
+    let policy = RetryPolicy::default();
+    let checksum = |ordering: Option<&str>| {
+        call(&addr, &run_request(ordering, "NQ"), &policy)
+            .unwrap()
+            .checksum
+            .expect("run replies carry a checksum")
+    };
+    let original = checksum(Some("Original"));
+    assert_eq!(
+        checksum(Some("Gorder")),
+        original,
+        "NQ is relabel-invariant"
+    );
+    assert_eq!(checksum(None), original);
+    server.sigterm();
+    server.join();
+}
+
+#[test]
+fn degraded_layouts_are_never_admitted() {
+    let _guard = fault_lock();
+    let dir = tmpdir("layout-degraded");
+    let mut cfg = test_config();
+    cfg.cache_dir = Some(dir.join("cache"));
+    let server = Running::start(cfg);
+    let addr = server.addr();
+    let policy = RetryPolicy::default();
+
+    let rushed = RemoteRequest {
+        timeout_ms: Some(0),
+        ..run_request(Some("Gorder"), "BFS")
+    };
+    let degraded = call(&addr, &rushed, &policy).unwrap();
+    assert_eq!(degraded.tier.as_deref(), Some("degraded"));
+
+    // The full ordering, run in-process on the same graph.
+    let g = gorder_graph::datasets::by_name("wiki").unwrap().build(0.02);
+    let fresh = gorder_cli::run_algorithm_budgeted(&g, "BFS", Some("Gorder"), 5, 0, None, 1)
+        .unwrap()
+        .checksum;
+    let full = call(&addr, &run_request(Some("Gorder"), "BFS"), &policy).unwrap();
+    assert_eq!(
+        full.tier.as_deref(),
+        Some("full"),
+        "the degraded layout was not served from memory"
+    );
+    assert_eq!(full.checksum, Some(fresh));
+    let again = call(&addr, &run_request(Some("Gorder"), "BFS"), &policy).unwrap();
+    assert_eq!(
+        (again.tier.as_deref(), again.checksum),
+        (Some("cache"), Some(fresh))
+    );
+
+    server.sigterm();
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn zero_layout_bound_serves_the_same_checksums_and_tiers() {
+    let _guard = fault_lock();
+    let requests = [
+        run_request(Some("Gorder"), "BFS"),
+        run_request(Some("Gorder"), "BFS"),
+        run_request(None, "BFS"),
+        work_request("simulate", Some("Gorder"), Some("PR")),
+        work_request("order", Some("Gorder"), None),
+        run_request(Some("RCM"), "SCC"),
+        run_request(Some("RCM"), "SCC"),
+    ];
+    let served = |tag: &str, layout_cache_bytes: Option<u64>| {
+        let dir = tmpdir(tag);
+        let mut cfg = test_config();
+        cfg.cache_dir = Some(dir.join("cache"));
+        cfg.layout_cache_bytes = layout_cache_bytes;
+        let server = Running::start(cfg);
+        let addr = server.addr();
+        let replies: Vec<(Option<String>, Option<u64>)> = requests
+            .iter()
+            .map(|r| {
+                let reply = call(&addr, r, &RetryPolicy::default()).unwrap();
+                (reply.tier, reply.checksum)
+            })
+            .collect();
+        server.sigterm();
+        server.join();
+        let _ = std::fs::remove_dir_all(&dir);
+        replies
+    };
+    let default = served("layout-default", None);
+    let off = served("layout-off", Some(0));
+    assert_eq!(default, off);
+    let tiers: Vec<&str> = default.iter().map(|r| r.0.as_deref().unwrap()).collect();
+    assert_eq!(
+        tiers,
+        ["full", "cache", "full", "cache", "cache", "full", "cache"]
+    );
+}
+
+#[test]
+fn request_path_never_digests_and_relabels_once_per_identity() {
+    let _guard = fault_lock();
+    let dir = tmpdir("digest-once");
+    let mut cfg = test_config();
+    cfg.cache_dir = Some(dir.join("cache"));
+    let server = Running::start(cfg);
+    let addr = server.addr();
+    let policy = RetryPolicy::default();
+    let reg = gorder_obs::global();
+    let (digests, misses, hits) = (
+        reg.counter("order.graph_digests"),
+        reg.counter("serve.layout.misses"),
+        reg.counter("serve.layout.hits"),
+    );
+
+    for r in [
+        work_request("order", Some("Gorder"), None),
+        run_request(Some("Gorder"), "BFS"),
+        run_request(Some("Gorder"), "NQ"),
+        work_request("simulate", Some("Gorder"), Some("BFS")),
+        run_request(None, "BFS"),
+        run_request(Some("RCM"), "BFS"),
+        run_request(Some("RCM"), "BFS"),
+    ] {
+        assert_eq!(call(&addr, &r, &policy).unwrap().status, "ok");
+    }
+    assert_eq!(
+        reg.counter("order.graph_digests"),
+        digests,
+        "the dataset was digested at bind, never per request"
+    );
+    // One miss (and so one relabel) per identity; every repeat hits.
+    assert_eq!(reg.counter("serve.layout.misses") - misses, 2);
+    assert_eq!(reg.counter("serve.layout.hits") - hits, 3);
+
+    server.sigterm();
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
