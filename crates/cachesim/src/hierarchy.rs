@@ -150,14 +150,18 @@ impl CacheHierarchy {
         }
         if hit > 0 && self.prefetch_next_line {
             // demand miss somewhere: pull the next line alongside
-            let line = self.levels[0].config().line_bytes;
-            let next = addr.wrapping_add(line);
+            let next = addr.wrapping_add(self.line_bytes());
             for level in &mut self.levels {
                 level.install(next);
             }
             self.prefetches += 1;
         }
         hit
+    }
+
+    /// L1's line size in bytes.
+    pub(crate) fn line_bytes(&self) -> u64 {
+        self.levels[0].config().line_bytes
     }
 
     /// Number of next-line prefetches issued.

@@ -1,9 +1,17 @@
 //! A single set-associative cache level with true LRU replacement.
 //!
-//! Geometry is the classic (size, line, associativity) triple. Sets hold
-//! `associativity` ways; a lookup scans the ways linearly (assoc ≤ 16 for
-//! every real level we model, so a scan beats fancier structures) and LRU
-//! is tracked with per-way timestamps from a per-level access counter.
+//! Geometry is the classic (size, line, associativity) triple. Each set is
+//! a run of `associativity` tags kept in recency order, most recently used
+//! first, so the LRU way is always the last one. A lookup scans the ways
+//! linearly (assoc ≤ 16 for every real level we model, so a scan beats
+//! fancier structures); a hit rotates its tag to the front, and a miss
+//! shifts the set down one slot and writes the new line at the front,
+//! evicting the last way. Empty ways hold a sentinel tag and sit behind
+//! every valid line, so a miss fills them before it evicts anything.
+//!
+//! The set index avoids a 64-bit division: a mask when the set count is a
+//! power of two, otherwise Lemire's 32-bit fastmod for line numbers below
+//! 2³², with exact `%` as the fallback for wider ones.
 
 /// Geometry of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,17 +53,53 @@ impl LevelStats {
 
 const INVALID: u64 = u64::MAX;
 
+/// Maps a line number to its set without a 64-bit division.
+#[derive(Debug, Clone, Copy)]
+enum SetIndex {
+    /// Power-of-two set count: `line & (sets - 1)`.
+    Mask(u64),
+    /// Set count below 2³²: Lemire's fastmod with `magic = ⌈2⁶⁴ / sets⌉`,
+    /// exact for every 32-bit line number; wider ones take `%`.
+    FastMod { sets: u64, magic: u64 },
+    /// Any other set count: plain `%`.
+    Div(u64),
+}
+
+impl SetIndex {
+    fn new(sets: u64) -> Self {
+        if sets.is_power_of_two() {
+            SetIndex::Mask(sets - 1)
+        } else if sets <= u64::from(u32::MAX) {
+            SetIndex::FastMod {
+                sets,
+                magic: u64::MAX / sets + 1,
+            }
+        } else {
+            SetIndex::Div(sets)
+        }
+    }
+
+    #[inline]
+    fn of(self, line: u64) -> usize {
+        (match self {
+            SetIndex::Mask(mask) => line & mask,
+            SetIndex::FastMod { sets, magic } if line >> 32 == 0 => {
+                let low = magic.wrapping_mul(line);
+                ((u128::from(low) * u128::from(sets)) >> 64) as u64
+            }
+            SetIndex::FastMod { sets, .. } | SetIndex::Div(sets) => line % sets,
+        }) as usize
+    }
+}
+
 /// One set-associative LRU cache level.
 #[derive(Debug, Clone)]
 pub struct CacheLevel {
     config: LevelConfig,
-    sets: u64,
     line_shift: u32,
-    /// `tags[set * assoc + way]`.
+    index: SetIndex,
+    /// `tags[set * assoc..][..assoc]`, most recently used first.
     tags: Vec<u64>,
-    /// Last-use stamp per way (same indexing).
-    stamps: Vec<u64>,
-    clock: u64,
     stats: LevelStats,
 }
 
@@ -64,7 +108,9 @@ impl CacheLevel {
     ///
     /// # Panics
     /// Panics if the line size is not a power of two, the associativity is
-    /// zero, or the geometry doesn't yield a whole power-of-two set count.
+    /// zero, the geometry yields zero sets, or `size_bytes` is not exactly
+    /// `sets × line_bytes × associativity`. The set count itself need not
+    /// be a power of two.
     pub fn new(config: LevelConfig) -> Self {
         assert!(
             config.line_bytes.is_power_of_two(),
@@ -75,14 +121,17 @@ impl CacheLevel {
         // (real sliced LLCs have them: 20 MiB / 16-way / 64 B = 20480 sets).
         let sets = config.sets();
         assert!(sets > 0, "geometry yields zero sets");
-        let ways = (sets * u64::from(config.associativity)) as usize;
+        let assoc = config.associativity as usize;
+        assert_eq!(
+            config.size_bytes,
+            sets * config.line_bytes * assoc as u64,
+            "size must be a whole number of sets (line × associativity bytes each)"
+        );
         CacheLevel {
             config,
-            sets,
             line_shift: config.line_bytes.trailing_zeros(),
-            tags: vec![INVALID; ways],
-            stamps: vec![0; ways],
-            clock: 0,
+            index: SetIndex::new(sets),
+            tags: vec![INVALID; sets as usize * assoc],
             stats: LevelStats::default(),
         }
     }
@@ -100,49 +149,36 @@ impl CacheLevel {
     /// Looks `addr` up, updating LRU state; on miss, installs the line
     /// (evicting the set's LRU way). Returns `true` on hit.
     pub fn access(&mut self, addr: u64) -> bool {
-        self.clock += 1;
+        let hit = self.lookup(addr);
         self.stats.references += 1;
-        let line = addr >> self.line_shift;
-        let set = (line % self.sets) as usize;
-        let assoc = self.config.associativity as usize;
-        let base = set * assoc;
-        let ways = &mut self.tags[base..base + assoc];
-        if let Some(w) = ways.iter().position(|&t| t == line) {
-            self.stamps[base + w] = self.clock;
-            return true;
-        }
-        self.stats.misses += 1;
-        // evict LRU way (or fill an invalid one — stamp 0 loses to all)
-        let victim = (0..assoc)
-            .min_by_key(|&w| self.stamps[base + w])
-            .expect("associativity > 0");
-        self.tags[base + victim] = line;
-        self.stamps[base + victim] = self.clock;
-        false
+        self.stats.misses += u64::from(!hit);
+        hit
     }
 
     /// Installs the line holding `addr` without touching the demand
     /// counters — the prefetch path. Returns `true` if the line was
     /// already resident (refreshes its LRU position either way).
     pub fn install(&mut self, addr: u64) -> bool {
-        self.clock += 1;
+        self.lookup(addr)
+    }
+
+    /// Moves the line holding `addr` to the front of its set, installing
+    /// it over the LRU way if absent. Returns `true` if it was resident.
+    #[inline]
+    fn lookup(&mut self, addr: u64) -> bool {
         let line = addr >> self.line_shift;
-        let set = (line % self.sets) as usize;
         let assoc = self.config.associativity as usize;
-        let base = set * assoc;
-        if let Some(w) = self.tags[base..base + assoc]
-            .iter()
-            .position(|&t| t == line)
-        {
-            self.stamps[base + w] = self.clock;
-            return true;
+        let base = self.index.of(line) * assoc;
+        let ways = &mut self.tags[base..base + assoc];
+        let (hit, w) = match ways.iter().position(|&t| t == line) {
+            Some(w) => (true, w),
+            None => (false, assoc - 1),
+        };
+        if w > 0 {
+            ways.copy_within(..w, 1);
         }
-        let victim = (0..assoc)
-            .min_by_key(|&w| self.stamps[base + w])
-            .expect("associativity > 0");
-        self.tags[base + victim] = line;
-        self.stamps[base + victim] = self.clock;
-        false
+        ways[0] = line;
+        hit
     }
 
     /// Resets counters (contents are kept).
@@ -152,9 +188,7 @@ impl CacheLevel {
 
     /// Empties the cache and resets counters.
     pub fn flush(&mut self) {
-        self.tags.iter_mut().for_each(|t| *t = INVALID);
-        self.stamps.iter_mut().for_each(|s| *s = 0);
-        self.clock = 0;
+        self.tags.fill(INVALID);
         self.stats = LevelStats::default();
     }
 }
@@ -261,6 +295,59 @@ mod tests {
             line_bytes: 48,
             associativity: 2,
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "whole number of sets")]
+    fn rejects_size_that_is_not_whole_sets() {
+        // 3000 B / (64 B × 2 ways) = 23.4 sets: flooring would hold 2944 B
+        CacheLevel::new(LevelConfig {
+            size_bytes: 3000,
+            line_bytes: 64,
+            associativity: 2,
+        });
+    }
+
+    #[test]
+    fn set_index_matches_modulo() {
+        let lines = [
+            0,
+            1,
+            1279,
+            1280,
+            20_479,
+            20_480,
+            (1 << 32) - 1,
+            1 << 32,
+            (1 << 32) + 1,
+            0x0123_4567_89ab_cdef,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        for sets in [
+            1,
+            2,
+            3,
+            7,
+            64,
+            1280,
+            20_480,
+            u64::from(u32::MAX),
+            1 << 33,
+            (1 << 33) + 1,
+        ] {
+            let index = SetIndex::new(sets);
+            for line in lines
+                .into_iter()
+                .chain((0..4096).map(|i| i * 2_654_435_761))
+            {
+                assert_eq!(
+                    index.of(line) as u64,
+                    line % sets,
+                    "line {line}, {sets} sets"
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! available in every environment, so this reproduction substitutes a
 //! **transparent software model** (DESIGN.md §3):
 //!
-//! * [`level::CacheLevel`] — one set-associative, true-LRU cache level;
+//! * [`level::CacheLevel`] — one set-associative, true-LRU cache level
+//!   whose sets keep their tags most-recently-used first, indexed by a
+//!   mask or a precomputed fastmod rather than a 64-bit division;
 //! * [`hierarchy::CacheHierarchy`] — an inclusive L1/L2/L3 stack with
 //!   per-level reference/miss counters, defaulting to the replication's
 //!   Xeon E5-4650L geometry (32 KiB / 256 KiB / 20 MiB, 64-byte lines);

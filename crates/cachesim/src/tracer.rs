@@ -26,14 +26,15 @@ pub const REUSE_DISTANCE_BOUNDS: [f64; 24] = {
     b
 };
 
-/// Exact LRU reuse distances over cache lines: for each access, the
-/// number of *distinct other lines* touched since the previous access to
-/// the same line (0 = immediate re-reference; cold first touches are not
-/// recorded). Implemented with the classic Bennett–Kruskal scheme — a
+/// Exact LRU reuse distances over cache lines of the hierarchy's L1 line
+/// size: for each access, the number of *distinct other lines* touched
+/// since the previous access to the same line (0 = immediate
+/// re-reference; cold first touches are not recorded). Implemented with the classic Bennett–Kruskal scheme — a
 /// Fenwick tree marking each line's most recent access time — so each
 /// access costs `O(log T)`.
 #[derive(Debug, Clone)]
 struct ReuseTracker {
+    line_shift: u32,
     last: HashMap<u64, u64>,
     tree: Vec<u64>, // 1-indexed Fenwick tree over access times
     now: u64,
@@ -41,8 +42,9 @@ struct ReuseTracker {
 }
 
 impl ReuseTracker {
-    fn new() -> Self {
+    fn new(line_bytes: u64) -> Self {
         ReuseTracker {
+            line_shift: line_bytes.trailing_zeros(),
             last: HashMap::new(),
             tree: vec![0],
             now: 0,
@@ -66,7 +68,8 @@ impl ReuseTracker {
         s
     }
 
-    fn record(&mut self, line: u64) {
+    fn record(&mut self, addr: u64) {
+        let line = addr >> self.line_shift;
         self.now += 1;
         let t = self.now;
         if self.tree.len() <= t as usize {
@@ -151,7 +154,7 @@ impl Tracer {
     /// [`Tracer::reuse_histogram`].
     pub fn enable_reuse_tracking(&mut self) {
         if self.reuse.is_none() {
-            self.reuse = Some(ReuseTracker::new());
+            self.reuse = Some(ReuseTracker::new(self.hierarchy.line_bytes()));
         }
     }
 
@@ -183,7 +186,7 @@ impl Tracer {
         let addr = arr.addr(i);
         self.hierarchy.access(addr);
         if let Some(reuse) = &mut self.reuse {
-            reuse.record(addr / 64);
+            reuse.record(addr);
         }
     }
 
@@ -354,6 +357,29 @@ mod tests {
             .position(|&b| b == 128.0)
             .unwrap();
         assert_eq!(h.counts()[idx], (2 * k) as u64);
+    }
+
+    #[test]
+    fn reuse_distances_count_the_hierarchys_lines() {
+        let level = |size_bytes| crate::level::LevelConfig {
+            size_bytes,
+            line_bytes: 128,
+            associativity: 4,
+        };
+        let mut t = Tracer::new(CacheHierarchy::new(&HierarchyConfig {
+            levels: vec![level(4096), level(65536)],
+            prefetch_next_line: false,
+        }));
+        t.enable_reuse_tracking();
+        // 64-byte elements, two per 128-byte line: 0 and 1 share line A,
+        // 2 is line B. Touches 0 1 2 0 → A cold, A (0), B cold, A (1).
+        let a = t.alloc(4, 64);
+        for i in [0, 1, 2, 0] {
+            t.touch(&a, i);
+        }
+        let h = t.reuse_histogram().unwrap();
+        assert_eq!(h.total(), 2, "64-byte lines would give one warm touch");
+        assert_eq!(h.sum(), 1.0);
     }
 
     #[test]
