@@ -25,25 +25,47 @@
 //! A candidate is typically touched several times per placement step —
 //! once per shared relationship with the entering node, and again with
 //! opposite sign for the exiting one. Issuing each `±1` as its own heap
-//! operation turns every touch into an unlink + push on the bucket lists
-//! (three random-access arrays plus the bucket heads). Instead, the build
-//! loop accumulates the step's enter **and** exit deltas into a reusable
-//! dense scratch buffer (`DeltaScratch`) keyed by candidate, pre-filters
-//! already-placed candidates with a placed bitset before any heap work,
-//! and then applies **one net [`UnitHeap::update`] per touched candidate**.
+//! operation turns every touch into an unlink + push on the bucket lists.
+//! Instead, the build loop writes the step's enter **and** exit touches
+//! into a reusable scratch (`DeltaScratch`) and then applies **one net
+//! [`UnitHeap::update`] per touched candidate**. Three parts keep that
+//! cheap, and each is exact:
 //!
-//! The coalesced path is permutation-preserving: within a bucket the unit
-//! heap pops in LIFO order of the last key change, so replaying each
-//! candidate's *final* state in the order of its *last* touch in the unit
-//! stream reproduces the per-unit bucket layout exactly — including
-//! net-zero touches, which still move a candidate to its bucket head (see
-//! `reference` in this module's tests for the per-unit oracle the
-//! equivalence is checked against, and `tests/golden_perms.rs` for the
-//! pre-optimisation digests).
+//! * **Last-touch index.** One `Slot { delta, last }` per candidate holds
+//!   the net change and the index of its last touch in the step's stream;
+//!   `last == PLACED` marks a placed node. A touch writes its node into
+//!   the pre-sized stream unconditionally and advances the stream length
+//!   only if the node is unplaced, so the many touches of placed nodes
+//!   cost no mispredicted branch and never reach the heap (on which they
+//!   were no-ops anyway).
+//! * **Forward flush.** One pass over the stream applies a candidate's
+//!   update only at the index its `last` points to, i.e. in last-touch
+//!   order. That order is the tie-breaking contract: within a bucket the
+//!   unit heap pops in LIFO order of the last key change, and under
+//!   per-unit updates a candidate reaches its final key and bucket head
+//!   at its last touch, after which only later-touched nodes are pushed
+//!   ahead of it. Replaying final states in last-touch order — net-zero
+//!   touches included, which still move a candidate to its bucket head —
+//!   reproduces the per-unit bucket layout exactly.
+//! * **Exit replay.** The stream a node produces on entering the window
+//!   is kept (`Window`) together with the number of hubs it skipped;
+//!   when the node leaves, that stream is replayed with `−1` instead of
+//!   walking in(v) → out(x) through the graph again. The placed set only
+//!   grows, so re-filtering the recorded stream yields exactly the stream
+//!   a fresh walk would, in the same order, and the hub count is a
+//!   property of the graph alone. The window holds at most `w + 1`
+//!   streams and never more than `n + m` ids: a stream that does not fit
+//!   is not recorded, and its node's exit walks the graph as before.
+//!
+//! `reference` in this module's tests keeps the per-unit loop as the
+//! oracle the equivalence is checked against (placements and hub skips),
+//! and `tests/golden_perms.rs` pins the pre-optimisation digests.
 
 use crate::budget::{Budget, DegradeReason, ExecOutcome, CHECK_STRIDE};
 use crate::unitheap::UnitHeap;
 use gorder_graph::{Graph, NodeId, Permutation};
+use std::collections::VecDeque;
+use std::hint::select_unpredictable;
 
 /// Configuration builder for [`Gorder`].
 ///
@@ -147,86 +169,164 @@ impl GorderStats {
     }
 }
 
+/// [`Slot::last`] of a node that is already placed.
+const PLACED: u32 = u32::MAX;
+
+/// One candidate's coalescing state.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    /// Net pending key change; non-zero only between a touch and the
+    /// step's flush.
+    delta: i32,
+    /// Index of the node's last touch in the step's stream, or `PLACED`.
+    /// Stale once the step is flushed; every touch rewrites it.
+    last: u32,
+}
+
 /// Reusable per-run scratch for coalescing one placement step's window
-/// deltas: a dense net-delta buffer keyed by candidate plus the touch
-/// stream needed to replay candidates in last-touch order. All buffers
-/// are allocated once per run and cleared incrementally (`delta` and
-/// `seen` only at the entries actually touched), so steady-state steps
-/// do no allocation.
+/// deltas: one [`Slot`] per candidate plus the step's touch stream. The
+/// stream buffer only grows and nothing is cleared between steps (a
+/// flushed delta is reset where it is read), so steady-state steps do no
+/// allocation.
 struct DeltaScratch {
-    /// Net pending key change per candidate; non-zero only between
-    /// `accumulate` and `flush` for touched candidates.
-    delta: Vec<i32>,
-    /// Every touch of this step, in the exact per-unit stream order.
+    slots: Vec<Slot>,
+    /// The step's touches of unplaced candidates, in per-unit stream
+    /// order: `events[..len]`. The buffer is sized before each walk, so a
+    /// touch writes its node unconditionally and advances `len` only if
+    /// the node is unplaced; a placed node's write is overwritten next.
     events: Vec<NodeId>,
-    /// Deduped touch stream in *reverse* last-touch order (scratch for
-    /// `flush`).
-    order: Vec<NodeId>,
-    /// Epoch stamps backing the dedup (no clearing between steps).
-    seen: Vec<u64>,
-    /// Current dedup epoch; bumped once per flush.
-    epoch: u64,
-    /// Placed bitset: candidates already laid out are filtered here,
-    /// before any delta accounting or heap lookup.
-    placed: Vec<bool>,
+    len: usize,
 }
 
 impl DeltaScratch {
     fn new(n: u32) -> Self {
-        let n = n as usize;
         DeltaScratch {
-            delta: vec![0; n],
+            slots: vec![Slot::default(); n as usize],
             events: Vec::new(),
-            order: Vec::new(),
-            seen: vec![0; n],
-            epoch: 0,
-            placed: vec![false; n],
+            len: 0,
         }
+    }
+
+    /// Marks `v` placed: from now on its touches are dropped.
+    fn place(&mut self, v: NodeId) {
+        self.slots[v as usize].last = PLACED;
+    }
+
+    /// Makes room for `extra` more touches in this step.
+    #[inline]
+    fn reserve(&mut self, extra: usize) {
+        let need = self.len + extra;
+        if need > self.events.len() {
+            self.grow(need);
+        }
+    }
+
+    #[cold]
+    fn grow(&mut self, need: usize) {
+        // Touch indices are stored in `Slot::last` and must stay below
+        // `PLACED`.
+        assert!(
+            need <= PLACED as usize,
+            "Gorder step needs {need} candidate touches; at most {PLACED} fit a u32 index"
+        );
+        let len = need.max(2 * self.events.len()).min(PLACED as usize);
+        self.events.resize(len, 0);
     }
 
     #[inline]
     fn touch(&mut self, u: NodeId, sign: i32) {
-        if self.placed[u as usize] {
-            return;
-        }
-        self.delta[u as usize] += sign;
-        self.events.push(u);
+        let i = self.len;
+        self.events[i] = u;
+        let slot = &mut self.slots[u as usize];
+        let live = slot.last != PLACED;
+        // About half of all touches hit placed nodes, in no pattern a
+        // branch predictor could learn.
+        slot.delta += select_unpredictable(live, sign, 0);
+        slot.last = select_unpredictable(live, i as u32, PLACED);
+        self.len = i + usize::from(live);
     }
 
-    /// Accumulates the ±1 score updates triggered by `v` entering
-    /// (`sign = 1`) or leaving (`sign = -1`) the window, in the exact
-    /// order the per-unit implementation issued them.
-    fn accumulate(
+    /// Touches, with `sign`, every candidate whose score changes when `v`
+    /// enters (`+1`) or leaves (`-1`) the window, in the exact order the
+    /// per-unit implementation issued them. Returns the hubs skipped.
+    fn walk(&mut self, g: &Graph, v: NodeId, sign: i32, hub_threshold: u32) -> u32 {
+        // Neighbour score via out-edges of v: S_n(u, v) counts edge v → u.
+        let outs = g.out_neighbors(v);
+        self.reserve(outs.len());
+        for &u in outs {
+            self.touch(u, sign);
+        }
+        let mut hub_skips = 0;
+        for &x in g.in_neighbors(v) {
+            // Sibling score: x is a common in-neighbour of v and of every
+            // other out-neighbour u of x (v itself is placed, so its own
+            // touch is dropped like any other placed node's).
+            let siblings = if g.out_degree(x) > hub_threshold {
+                hub_skips += 1;
+                &[]
+            } else {
+                g.out_neighbors(x)
+            };
+            self.reserve(1 + siblings.len());
+            // Neighbour score via in-edges of v: S_n counts edge x → v.
+            self.touch(x, sign);
+            for &u in siblings {
+                self.touch(u, sign);
+            }
+        }
+        hub_skips
+    }
+
+    /// `v` (just placed) enters the window: its touches open the step's
+    /// stream, which is kept for its exit.
+    fn enter(
         &mut self,
         g: &Graph,
         v: NodeId,
-        sign: i32,
         hub_threshold: u32,
+        window: &mut Window,
         stats: &mut GorderStats,
     ) {
-        // Neighbour score via out-edges of v: S_n(u, v) counts edge v → u.
-        for &u in g.out_neighbors(v) {
-            self.touch(u, sign);
-        }
-        for &x in g.in_neighbors(v) {
-            // Neighbour score via in-edges of v: S_n counts edge x → v.
-            self.touch(x, sign);
-            // Sibling score: x is a common in-neighbour of v and of every
-            // other out-neighbour u of x.
-            if g.out_degree(x) > hub_threshold {
-                stats.hub_skips += 1;
-                continue;
+        debug_assert_eq!(self.len, 0, "enter opens the step");
+        let hub_skips = self.walk(g, v, 1, hub_threshold);
+        stats.hub_skips += u64::from(hub_skips);
+        window.record(v, &self.events[..self.len], hub_skips);
+    }
+
+    /// The oldest window node leaves: its entry stream is replayed with
+    /// `-1`, and `touch` drops the candidates placed since it was
+    /// recorded. That is the stream a fresh walk would produce, because
+    /// the placed set only grows. A stream the window had no room for is
+    /// walked again instead.
+    fn exit(
+        &mut self,
+        g: &Graph,
+        hub_threshold: u32,
+        window: &mut Window,
+        stats: &mut GorderStats,
+    ) {
+        let entry = window
+            .entries
+            .pop_front()
+            .expect("every node leaving the window entered it");
+        stats.hub_skips += u64::from(entry.hub_skips);
+        match entry.stream {
+            Some(len) => {
+                let len = len as usize;
+                self.reserve(len);
+                window.ids.range(..len).for_each(|&u| self.touch(u, -1));
+                window.ids.drain(..len);
             }
-            for &u in g.out_neighbors(x) {
-                if u != v {
-                    self.touch(u, sign);
-                }
+            None => {
+                let hub_skips = self.walk(g, entry.node, -1, hub_threshold);
+                debug_assert_eq!(hub_skips, entry.hub_skips);
             }
         }
     }
 
     /// Applies one net heap update per touched candidate, in the order
-    /// of each candidate's **last** touch in the accumulated stream.
+    /// of each candidate's **last** touch in the step's stream: a forward
+    /// pass that acts on a node only at the index its `last` points to.
     ///
     /// That order is the tie-breaking contract: the unit heap pops LIFO
     /// within a bucket, and under per-unit updates a candidate ends up
@@ -235,25 +335,68 @@ impl DeltaScratch {
     /// included) therefore reproduces the per-unit bucket layout — and
     /// the permutation — byte for byte.
     fn flush(&mut self, heap: &mut UnitHeap, stats: &mut GorderStats) {
-        self.epoch += 1;
-        self.order.clear();
-        for &u in self.events.iter().rev() {
-            if self.seen[u as usize] != self.epoch {
-                self.seen[u as usize] = self.epoch;
-                self.order.push(u);
+        for (i, &u) in self.events[..self.len].iter().enumerate() {
+            let slot = &mut self.slots[u as usize];
+            if slot.last as usize == i {
+                let d = std::mem::take(&mut slot.delta);
+                heap.update(u, i64::from(d));
+                stats.increments += u64::from(d > 0);
+                stats.decrements += u64::from(d < 0);
+                stats.refreshes += u64::from(d == 0);
             }
         }
-        for &u in self.order.iter().rev() {
-            let d = std::mem::take(&mut self.delta[u as usize]);
-            heap.update(u, i64::from(d));
-            match d.cmp(&0) {
-                std::cmp::Ordering::Greater => stats.increments += 1,
-                std::cmp::Ordering::Less => stats.decrements += 1,
-                std::cmp::Ordering::Equal => stats.refreshes += 1,
-            }
-        }
-        self.events.clear();
+        self.len = 0;
     }
+}
+
+/// The entry streams of the nodes in the window, oldest first, kept so
+/// that a node's exit replays its stream instead of walking in(v) →
+/// out(x) through the graph again.
+struct Window {
+    /// The recorded streams, concatenated.
+    ids: VecDeque<NodeId>,
+    /// One entry per node in the window, in placement order.
+    entries: VecDeque<WindowEntry>,
+    /// Most ids `ids` may hold. A stream that would overflow it is not
+    /// recorded, and its node's exit walks the graph instead.
+    cap: usize,
+}
+
+struct WindowEntry {
+    node: NodeId,
+    /// Length of the recorded stream at the front of [`Window::ids`]
+    /// once this entry is the oldest; `None` if it was not recorded.
+    stream: Option<u32>,
+    hub_skips: u32,
+}
+
+impl Window {
+    fn new(cap: usize) -> Self {
+        Window {
+            ids: VecDeque::new(),
+            entries: VecDeque::new(),
+            cap,
+        }
+    }
+
+    fn record(&mut self, node: NodeId, stream: &[NodeId], hub_skips: u32) {
+        let fits = self.ids.len() + stream.len() <= self.cap;
+        if fits {
+            self.ids.extend(stream);
+        }
+        self.entries.push_back(WindowEntry {
+            node,
+            // A step's stream is indexed by u32 (see `DeltaScratch::grow`).
+            stream: fits.then_some(stream.len() as u32),
+            hub_skips,
+        });
+    }
+}
+
+/// The ids a run's [`Window`] may hold: one per node and edge, so the
+/// replay state never outgrows the graph's own out-adjacency.
+fn replay_cap(g: &Graph) -> usize {
+    usize::try_from(g.m() + u64::from(g.n())).unwrap_or(usize::MAX)
 }
 
 /// The configured Gorder ordering algorithm. See the module docs.
@@ -291,7 +434,7 @@ impl Gorder {
         if n == 0 {
             return (Permutation::identity(0), GorderStats::default());
         }
-        let (placement, stats, stop) = self.greedy(g, None);
+        let (placement, stats, stop) = self.greedy(g, None, replay_cap(g));
         debug_assert!(stop.is_none(), "unbudgeted greedy cannot stop early");
         let perm = Permutation::from_placement(&placement)
             .expect("greedy placement covers every node exactly once");
@@ -301,10 +444,13 @@ impl Gorder {
     /// The windowed greedy build loop shared by the plain and budgeted
     /// entry points. Returns the (possibly partial, if the budget ran
     /// out) placement, the run counters, and the degrade reason if any.
+    /// `replay_cap` bounds the exit-replay state (see [`replay_cap`]);
+    /// the result does not depend on it.
     fn greedy(
         &self,
         g: &Graph,
         budget: Option<&Budget>,
+        replay_cap: usize,
     ) -> (Vec<NodeId>, GorderStats, Option<DegradeReason>) {
         let n = g.n();
         let w = self.window as usize;
@@ -318,6 +464,7 @@ impl Gorder {
         if stop.is_none() {
             let mut heap = UnitHeap::new(n);
             let mut scratch = DeltaScratch::new(n);
+            let mut window = Window::new(replay_cap);
             // Seed with the highest in-degree node: it has the most
             // siblings to pull in behind it. Ties break toward the
             // smallest id.
@@ -325,19 +472,18 @@ impl Gorder {
                 .max_by_key(|&u| (g.in_degree(u), std::cmp::Reverse(u)))
                 .expect("non-empty graph");
             heap.remove(seed);
-            scratch.placed[seed as usize] = true;
+            scratch.place(seed);
             placement.push(seed);
-            scratch.accumulate(g, seed, 1, hub, &mut stats);
+            scratch.enter(g, seed, hub, &mut window, &mut stats);
             scratch.flush(&mut heap, &mut stats);
 
             while let Some(v) = heap.pop_max() {
                 stats.pops += 1;
-                scratch.placed[v as usize] = true;
+                scratch.place(v);
                 placement.push(v);
-                scratch.accumulate(g, v, 1, hub, &mut stats);
+                scratch.enter(g, v, hub, &mut window, &mut stats);
                 if placement.len() > w {
-                    let expiring = placement[placement.len() - 1 - w];
-                    scratch.accumulate(g, expiring, -1, hub, &mut stats);
+                    scratch.exit(g, hub, &mut window, &mut stats);
                 }
                 // One net heap update per candidate the enter + exit
                 // deltas touched, instead of a stream of ±1 operations.
@@ -385,7 +531,7 @@ impl Gorder {
             );
         }
         let _span = gorder_obs::span("gorder.build");
-        let (mut placement, stats, stop) = self.greedy(g, Some(budget));
+        let (mut placement, stats, stop) = self.greedy(g, Some(budget), replay_cap(g));
         let outcome = match stop {
             None => {
                 let perm = Permutation::from_placement(&placement)
@@ -456,11 +602,18 @@ mod tests {
 
     /// The pre-coalescing build loop, kept verbatim as the tie-breaking
     /// oracle: every score change is issued as its own ±1 heap operation,
-    /// in stream order. The coalesced hot path must reproduce this
-    /// placement byte for byte; `unit_ops` counts the heap operations it
-    /// avoided.
+    /// in stream order, and a node leaving the window walks the graph
+    /// again. The coalesced hot path must reproduce this placement byte
+    /// for byte; `unit_ops` counts the heap operations it avoided.
     mod reference {
         use super::*;
+
+        /// What a per-unit run did besides placing nodes.
+        #[derive(Debug, Default)]
+        pub struct Counts {
+            pub unit_ops: u64,
+            pub hub_skips: u64,
+        }
 
         fn apply_delta(
             g: &Graph,
@@ -468,7 +621,7 @@ mod tests {
             add: bool,
             hub_threshold: u32,
             heap: &mut UnitHeap,
-            unit_ops: &mut u64,
+            counts: &mut Counts,
         ) {
             let mut bump = |heap: &mut UnitHeap, u: NodeId| {
                 if add {
@@ -476,7 +629,7 @@ mod tests {
                 } else {
                     heap.decrement(u);
                 }
-                *unit_ops += 1;
+                counts.unit_ops += 1;
             };
             for &u in g.out_neighbors(v) {
                 bump(heap, u);
@@ -484,6 +637,7 @@ mod tests {
             for &x in g.in_neighbors(v) {
                 bump(heap, x);
                 if g.out_degree(x) > hub_threshold {
+                    counts.hub_skips += 1;
                     continue;
                 }
                 for &u in g.out_neighbors(x) {
@@ -495,12 +649,12 @@ mod tests {
         }
 
         /// Per-unit-update Gorder: the exact pre-optimisation algorithm.
-        pub fn compute(gorder: &Gorder, g: &Graph) -> (Vec<NodeId>, u64) {
+        pub fn compute(gorder: &Gorder, g: &Graph) -> (Vec<NodeId>, Counts) {
             let n = g.n();
-            let mut unit_ops = 0u64;
+            let mut counts = Counts::default();
             let mut placement: Vec<NodeId> = Vec::with_capacity(n as usize);
             if n == 0 {
-                return (placement, unit_ops);
+                return (placement, counts);
             }
             let w = gorder.window_size() as usize;
             let hub = gorder.hub_threshold().unwrap_or(u32::MAX);
@@ -510,25 +664,26 @@ mod tests {
                 .expect("non-empty graph");
             heap.remove(seed);
             placement.push(seed);
-            apply_delta(g, seed, true, hub, &mut heap, &mut unit_ops);
+            apply_delta(g, seed, true, hub, &mut heap, &mut counts);
             while let Some(v) = heap.pop_max() {
                 placement.push(v);
-                apply_delta(g, v, true, hub, &mut heap, &mut unit_ops);
+                apply_delta(g, v, true, hub, &mut heap, &mut counts);
                 if placement.len() > w {
                     let expiring = placement[placement.len() - 1 - w];
-                    apply_delta(g, expiring, false, hub, &mut heap, &mut unit_ops);
+                    apply_delta(g, expiring, false, hub, &mut heap, &mut counts);
                 }
             }
-            (placement, unit_ops)
+            (placement, counts)
         }
     }
 
     #[test]
     fn coalesced_build_matches_per_unit_reference_exactly() {
-        // The tentpole's proof: across graph families, window sizes, and
-        // hub thresholds, the coalesced hot path reproduces the per-unit
-        // placement byte for byte while performing strictly fewer heap
-        // operations.
+        // Across graph families, window sizes, and hub thresholds, the
+        // coalesced hot path reproduces the per-unit placement byte for
+        // byte and skips the same hubs (exits replayed from the entry
+        // stream carry their entry's count) while performing strictly
+        // fewer heap operations.
         let graphs = [
             ("social", social(400)),
             ("copying", copying_model(350, 6, 0.7, 21)),
@@ -541,7 +696,7 @@ mod tests {
             for w in [1u32, 2, 5, 64] {
                 for hub in [None, Some(2), Some(8)] {
                     let gorder = GorderBuilder::new().window(w).hub_threshold(hub).build();
-                    let (ref_placement, unit_ops) = reference::compute(&gorder, g);
+                    let (ref_placement, counts) = reference::compute(&gorder, g);
                     let (perm, stats) = gorder.compute_with_stats(g);
                     assert_eq!(
                         perm.placement(),
@@ -549,15 +704,48 @@ mod tests {
                         "{tag} w={w} hub={hub:?}: coalesced placement diverged \
                          from the per-unit reference"
                     );
+                    assert_eq!(
+                        stats.hub_skips, counts.hub_skips,
+                        "{tag} w={w} hub={hub:?}: hub skips diverged from the \
+                         per-unit reference"
+                    );
                     assert!(
-                        stats.heap_updates() < unit_ops,
+                        stats.heap_updates() < counts.unit_ops,
                         "{tag} w={w} hub={hub:?}: coalescing must cut heap ops \
-                         ({} vs {unit_ops} unit updates)",
-                        stats.heap_updates()
+                         ({} vs {} unit updates)",
+                        stats.heap_updates(),
+                        counts.unit_ops
                     );
                 }
             }
         }
+    }
+
+    #[test]
+    fn exit_replay_matches_a_fresh_walk_at_any_cap() {
+        // With no room for replay every exit walks the graph again; with
+        // unbounded room every exit replays its entry stream. Both, and
+        // the default bound, give the same placement and counters.
+        let graphs = [social(400), copying_model(350, 6, 0.7, 21)];
+        for g in &graphs {
+            for w in [1u32, 5, 64] {
+                for hub in [None, Some(8)] {
+                    let gorder = GorderBuilder::new().window(w).hub_threshold(hub).build();
+                    let walked = gorder.greedy(g, None, 0);
+                    let replayed = gorder.greedy(g, None, usize::MAX);
+                    let default = gorder.greedy(g, None, replay_cap(g));
+                    assert_eq!(walked, replayed, "w={w} hub={hub:?}");
+                    assert_eq!(walked, default, "w={w} hub={hub:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "fit a u32 index")]
+    fn step_beyond_u32_touches_fails_loudly() {
+        let mut scratch = DeltaScratch::new(1);
+        scratch.reserve(PLACED as usize + 1);
     }
 
     fn social(n: u32) -> Graph {
@@ -771,6 +959,31 @@ mod tests {
                 "128-node cap on 600 nodes must degrade, got {}",
                 other.status_label()
             ),
+        }
+    }
+
+    #[test]
+    fn budgeted_node_cap_keeps_the_unbudgeted_prefix() {
+        // The window's replay state is shared with the budgeted loop: a
+        // capped run must place its first `cap` nodes exactly as the
+        // unbudgeted run does, for caps below and above the window.
+        let g = social(600);
+        for w in [2u32, 64] {
+            let gorder = GorderBuilder::new().window(w).build();
+            let full = gorder.compute(&g).placement();
+            for cap in [1u64, 3, 40, 100, 200, 500] {
+                let budget = crate::budget::Budget::unlimited().with_node_cap(cap);
+                let perm = gorder
+                    .compute_budgeted(&g, &budget)
+                    .value()
+                    .expect("a degraded run still carries a permutation");
+                let cap = cap as usize;
+                assert_eq!(
+                    perm.placement()[..cap],
+                    full[..cap],
+                    "w={w} cap={cap}: greedy prefix diverged"
+                );
+            }
         }
     }
 
