@@ -8,15 +8,19 @@
 //!
 //! * [`level::CacheLevel`] — one set-associative, true-LRU cache level
 //!   whose sets keep their tags most-recently-used first, indexed by a
-//!   mask or a precomputed fastmod rather than a 64-bit division;
-//! * [`hierarchy::CacheHierarchy`] — an inclusive L1/L2/L3 stack with
+//!   mask or a precomputed fastmod rather than a 64-bit division, and
+//!   updated a stream of references at a time;
+//! * [`hierarchy::CacheHierarchy`] — a non-inclusive L1/L2/L3 stack with
 //!   per-level reference/miss counters, defaulting to the replication's
 //!   Xeon E5-4650L geometry (32 KiB / 256 KiB / 20 MiB, 64-byte lines);
+//!   misses fill every level above and evictions never invalidate them,
+//!   so it can run references in batches, one level at a time;
 //! * [`stall::StallModel`] — converts hit/miss counts into CPU-execute
 //!   vs. cache-stall cycle shares using the replication's own latency
 //!   footnote (L1 4 cy, L2 12 cy, L3 42 cy, DRAM ≈ 62 ns);
 //! * [`tracer::Tracer`] — virtual address space for the graph's CSR
-//!   arrays and the algorithms' property arrays;
+//!   arrays and the algorithms' property arrays, buffering touches into
+//!   the hierarchy's batches;
 //! * [`trace`] — one replayer per benchmark algorithm that performs the
 //!   real computation while feeding every data reference through the
 //!   hierarchy.

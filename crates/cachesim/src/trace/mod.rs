@@ -214,6 +214,114 @@ mod tests {
         Graph::from_edges(6, &[(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (4, 0), (5, 3)])
     }
 
+    /// A [`TracerProbe`] that reads the tracer's counters and reuse
+    /// histogram at pseudo-random touches, mid-batch and in either order,
+    /// while the kernel runs on. Each read must cover every touch so far:
+    /// `refs` counts them all, and the histogram holds one observation per
+    /// touch except each distinct line's first.
+    struct Reading<'t> {
+        inner: TracerProbe<'t>,
+        touched: u64,
+        /// Lines touched so far (the scaled-down hierarchy's 64 B lines).
+        lines: std::collections::HashSet<u64>,
+        next_read: u64,
+        state: u64,
+    }
+
+    impl Probe for Reading<'_> {
+        fn alloc(&mut self, len: usize, elem_bytes: u64) -> Slot {
+            self.inner.alloc(len, elem_bytes)
+        }
+
+        fn touch(&mut self, slot: Slot, i: usize) {
+            self.inner.touch(slot, i);
+            let arr = &self.inner.slots[slot.index() as usize];
+            let addr = arr.addr(i.min((arr.len() as usize).saturating_sub(1)));
+            self.lines.insert(addr >> 6);
+            self.touched += 1;
+            if self.touched < self.next_read {
+                return;
+            }
+            self.state = self
+                .state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            self.next_read += 1 + (self.state >> 33) % 9000;
+            let tracer = &mut *self.inner.tracer;
+            let histogram_first = self.state >> 63 == 1;
+            let mut warm = 0;
+            if histogram_first {
+                warm = tracer.reuse_histogram().expect("tracking is on").total();
+            }
+            assert_eq!(tracer.counters().refs, self.touched, "refs mid-replay");
+            if !histogram_first {
+                warm = tracer.reuse_histogram().expect("tracking is on").total();
+            }
+            assert_eq!(
+                warm + self.lines.len() as u64,
+                self.touched,
+                "reuse mid-replay"
+            );
+        }
+
+        fn op(&mut self, n: u64) {
+            self.inner.op(n);
+        }
+    }
+
+    #[test]
+    fn reads_mid_replay_leave_the_counters_unchanged() {
+        // 3000 nodes, 24000 pseudo-random edges: PR(3) and BFS each make
+        // over 50 000 touches, many pending buffers' worth
+        let mut state = 7u64;
+        let edges: Vec<(NodeId, NodeId)> = (0..24_000)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1);
+                (
+                    ((state >> 20) % 3000) as NodeId,
+                    ((state >> 44) % 3000) as NodeId,
+                )
+            })
+            .collect();
+        let g = Graph::from_edges(3000, &edges);
+        let ctx = TraceCtx {
+            pr_iterations: 3,
+            ..Default::default()
+        };
+        let fresh = || {
+            let mut t = Tracer::new(CacheHierarchy::new(&crate::HierarchyConfig::scaled_down()));
+            t.enable_reuse_tracking();
+            t
+        };
+        for name in ["PR", "BFS"] {
+            let mut plain = fresh();
+            let expected = gorder_engine::run_probed(name, &g, &ctx, TracerProbe::new(&mut plain))
+                .unwrap()
+                .checksum;
+            let mut read = fresh();
+            let probe = Reading {
+                inner: TracerProbe::new(&mut read),
+                touched: 0,
+                lines: Default::default(),
+                next_read: 1,
+                state: 1,
+            };
+            let checksum = gorder_engine::run_probed(name, &g, &ctx, probe)
+                .unwrap()
+                .checksum;
+            assert_eq!(checksum, expected, "{name}");
+            let want = plain.counters();
+            assert!(
+                want.refs > 50_000 && want.reuse_total > 0,
+                "{name}: {want:?}"
+            );
+            assert_eq!(read.counters(), want, "{name}");
+            assert_eq!(read.stats(), plain.stats(), "{name}");
+        }
+    }
+
     #[test]
     fn replay_dispatches_extensions() {
         let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 0), (3, 4)]);

@@ -4,10 +4,11 @@
 //! *virtual arrays*: each array the traced algorithm would allocate
 //! (CSR offsets/targets, distance arrays, rank vectors, …) gets a
 //! line-aligned address range, and every element access is translated to
-//! a byte address and pushed through the hierarchy. A separate counter
-//! tallies non-memory operations for the stall model's CPU share.
+//! a byte address and pushed through the hierarchy, a batch at a time. A
+//! separate counter tallies non-memory operations for the stall model's
+//! CPU share.
 
-use crate::hierarchy::{CacheHierarchy, CacheStats};
+use crate::hierarchy::{CacheHierarchy, CacheStats, BATCH};
 use crate::stall::{StallBreakdown, StallModel};
 use gorder_obs::Histogram;
 use std::collections::HashMap;
@@ -126,12 +127,18 @@ impl VArray {
 }
 
 /// Records an algorithm's memory references into a cache hierarchy.
+///
+/// Touches collect in a pending buffer of one hierarchy batch, handed to
+/// the hierarchy (and the reuse tracker) whenever it fills; every reader
+/// drains it first, so what it reports always covers every touch.
 #[derive(Debug, Clone)]
 pub struct Tracer {
     hierarchy: CacheHierarchy,
     ops: u64,
     bump: u64,
     reuse: Option<ReuseTracker>,
+    pending: Box<[u64]>,
+    queued: usize,
 }
 
 /// Heap base: arbitrary, line-aligned, nonzero so address 0 is never used.
@@ -145,7 +152,21 @@ impl Tracer {
             ops: 0,
             bump: HEAP_BASE,
             reuse: None,
+            pending: vec![0; BATCH].into_boxed_slice(),
+            queued: 0,
         }
+    }
+
+    /// Hands every pending touch to the hierarchy and the reuse tracker.
+    fn drain(&mut self) {
+        let batch = &self.pending[..self.queued];
+        self.hierarchy.access_batch(batch);
+        if let Some(reuse) = &mut self.reuse {
+            for &addr in batch {
+                reuse.record(addr);
+            }
+        }
+        self.queued = 0;
     }
 
     /// Turns on exact reuse-distance tracking (off by default: it costs
@@ -154,6 +175,7 @@ impl Tracer {
     /// [`Tracer::reuse_histogram`].
     pub fn enable_reuse_tracking(&mut self) {
         if self.reuse.is_none() {
+            self.drain();
             self.reuse = Some(ReuseTracker::new(self.hierarchy.line_bytes()));
         }
     }
@@ -161,32 +183,33 @@ impl Tracer {
     /// The reuse-distance histogram, if tracking was enabled. One
     /// observation per warm line access; cold first touches are not
     /// counted (their distance is undefined, not merely large).
-    pub fn reuse_histogram(&self) -> Option<&Histogram> {
+    pub fn reuse_histogram(&mut self) -> Option<&Histogram> {
+        self.drain();
         self.reuse.as_ref().map(|r| &r.hist)
     }
 
     /// Allocates a virtual array of `len` elements of `elem_bytes` each,
-    /// line-aligned — mirroring what a real allocator would hand out for
-    /// consecutively allocated `Vec`s.
+    /// aligned to the L1 line — mirroring what a real allocator would hand
+    /// out for consecutively allocated `Vec`s.
     pub fn alloc(&mut self, len: usize, elem_bytes: u64) -> VArray {
-        let a = VArray {
-            base: self.bump,
+        let line = self.hierarchy.line_bytes();
+        let base = self.bump.next_multiple_of(line);
+        self.bump = base + (len as u64 * elem_bytes).max(1);
+        VArray {
+            base,
             elem_bytes,
             len: len as u64,
-        };
-        let bytes = (len as u64 * elem_bytes).max(1);
-        self.bump += (bytes + 63) & !63;
-        a
+        }
     }
 
     /// One data reference to `arr[i]` (read and write cost the same in
     /// this model).
     #[inline]
     pub fn touch(&mut self, arr: &VArray, i: usize) {
-        let addr = arr.addr(i);
-        self.hierarchy.access(addr);
-        if let Some(reuse) = &mut self.reuse {
-            reuse.record(addr);
+        self.pending[self.queued] = arr.addr(i);
+        self.queued += 1;
+        if self.queued == BATCH {
+            self.drain();
         }
     }
 
@@ -202,12 +225,13 @@ impl Tracer {
     }
 
     /// Cache counters so far.
-    pub fn stats(&self) -> CacheStats {
+    pub fn stats(&mut self) -> CacheStats {
+        self.drain();
         self.hierarchy.stats()
     }
 
     /// CPU/stall split under `model`.
-    pub fn breakdown(&self, model: &StallModel) -> StallBreakdown {
+    pub fn breakdown(&mut self, model: &StallModel) -> StallBreakdown {
         model.breakdown(&self.stats(), self.ops)
     }
 
@@ -216,7 +240,8 @@ impl Tracer {
     /// field is an exact integer count (the reuse sum is an integral
     /// `f64`), so two replays of the same workload produce bit-identical
     /// snapshots on any platform.
-    pub fn counters(&self) -> CounterSnapshot {
+    pub fn counters(&mut self) -> CounterSnapshot {
+        self.drain();
         let levels = self.hierarchy.level_stats();
         let (reuse_total, reuse_sum, reuse_counts) = match self.reuse_histogram() {
             Some(h) => (h.total(), h.sum(), h.counts().to_vec()),
@@ -243,7 +268,7 @@ pub struct CounterSnapshot {
     /// Data references issued (= L1 references).
     pub refs: u64,
     /// Misses at each cache level, L1 first. The last entry equals
-    /// `memory_accesses` (an inclusive hierarchy: LLC misses go to DRAM).
+    /// `memory_accesses`: whatever misses the last level goes to DRAM.
     pub level_misses: Vec<u64>,
     /// Accesses that fell through every level.
     pub memory_accesses: u64,
@@ -275,6 +300,24 @@ mod tests {
         assert_eq!(a.addr(0) % 64, 0);
         assert_eq!(b.addr(0) % 64, 0);
         assert!(a.addr(99) < b.addr(0), "arrays must not overlap");
+    }
+
+    #[test]
+    fn arrays_start_on_the_l1_line() {
+        let level = |size_bytes| crate::level::LevelConfig {
+            size_bytes,
+            line_bytes: 128,
+            associativity: 4,
+        };
+        let mut t = Tracer::new(CacheHierarchy::new(&HierarchyConfig {
+            levels: vec![level(4096), level(65536)],
+            prefetch_next_line: false,
+        }));
+        // sizes that end mid-line, on a 64-byte boundary, and empty
+        for (len, elem_bytes) in [(1, 4), (3, 8), (16, 4), (0, 4), (17, 4), (5, 64)] {
+            let a = t.alloc(len, elem_bytes);
+            assert_eq!(a.addr(0) % 128, 0, "{len} × {elem_bytes} B");
+        }
     }
 
     #[test]
@@ -313,6 +356,12 @@ mod tests {
         let a = t.alloc(16, 4);
         t.touch(&a, 0);
         assert!(t.reuse_histogram().is_none());
+        // a touch still pending when tracking starts is not tracked, so
+        // the line's first tracked touch is cold
+        t.touch(&a, 1);
+        t.enable_reuse_tracking();
+        t.touch(&a, 2);
+        assert_eq!(t.reuse_histogram().unwrap().total(), 0);
     }
 
     #[test]

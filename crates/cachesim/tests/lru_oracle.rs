@@ -1,7 +1,9 @@
 //! Differential oracle for the cache model: the MRU-ordered `CacheLevel`
 //! must return the same hit/miss for every operation, and the same
 //! counters, as the timestamp-LRU model it replaced. That model is kept
-//! here verbatim as the reference.
+//! here verbatim as the reference. The hierarchy is checked against it
+//! both one access at a time and in batches of random sizes, which it runs
+//! level by level, with and without next-line prefetch.
 //!
 //! Geometries cover line sizes 16–256 B, 1–16 ways, and power-of-two as
 //! well as other set counts (1280 and 20480 included, the scaled-down and
@@ -134,9 +136,10 @@ mod reference {
     }
 }
 
-/// The hierarchy's access path over reference levels.
+/// The hierarchy's one-access-at-a-time path over reference levels.
 struct RefHierarchy {
     levels: Vec<reference::CacheLevel>,
+    prefetch_next_line: bool,
     prefetches: u64,
 }
 
@@ -148,6 +151,7 @@ impl RefHierarchy {
                 .iter()
                 .map(|&c| reference::CacheLevel::new(c))
                 .collect(),
+            prefetch_next_line: config.prefetch_next_line,
             prefetches: 0,
         }
     }
@@ -160,7 +164,7 @@ impl RefHierarchy {
                 break;
             }
         }
-        if hit > 0 {
+        if hit > 0 && self.prefetch_next_line {
             let next = addr.wrapping_add(self.levels[0].config().line_bytes);
             for level in &mut self.levels {
                 level.install(next);
@@ -172,6 +176,18 @@ impl RefHierarchy {
 
     fn level_stats(&self) -> Vec<LevelStats> {
         self.levels.iter().map(|l| l.stats()).collect()
+    }
+
+    fn reset_stats(&mut self) {
+        self.levels
+            .iter_mut()
+            .for_each(reference::CacheLevel::reset_stats);
+    }
+
+    fn flush(&mut self) {
+        self.levels
+            .iter_mut()
+            .for_each(reference::CacheLevel::flush);
     }
 }
 
@@ -265,6 +281,61 @@ fn hierarchy_case() -> impl Strategy<Value = (HierarchyConfig, Vec<Op>)> {
     })
 }
 
+/// A step of a batched run.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// `len` accesses drawn from `seed` in one `access_batch` call.
+    Batch {
+        len: usize,
+        seed: u64,
+    },
+    /// One `access`, whose hit level is compared.
+    Access(u64),
+    ResetStats,
+    Flush,
+}
+
+/// The addresses of a `Step::Batch`, drawn for the hierarchy's L1.
+fn batch(l1: LevelConfig, len: usize, seed: u64) -> Vec<u64> {
+    let mut state = seed;
+    (0..len)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            address(l1, state ^ (state >> 29))
+        })
+        .collect()
+}
+
+/// 1–3 levels, prefetch on or off, and batches of 1 to 400 accesses (one
+/// in 32 is 16× longer, past the hierarchy's internal batch) mixed with
+/// single accesses, counter resets and flushes.
+fn batch_case() -> impl Strategy<Value = (HierarchyConfig, Vec<Step>)> {
+    (collection::vec(geometry(), 1..4), any::<bool>()).prop_flat_map(|(levels, prefetch)| {
+        let l1 = levels[0];
+        let steps = collection::vec(
+            (0u32..16, any::<u64>(), 1usize..401).prop_map(move |(kind, r, len)| match kind {
+                0..=9 => Step::Batch {
+                    len: if r % 32 == 0 { len * 16 } else { len },
+                    seed: r,
+                },
+                10..=13 => Step::Access(address(l1, r)),
+                14 => Step::ResetStats,
+                _ => Step::Flush,
+            }),
+            1..24,
+        );
+        steps.prop_map(move |steps| {
+            let config = HierarchyConfig {
+                levels: levels.clone(),
+                prefetch_next_line: prefetch,
+            };
+            (config, steps)
+        })
+    })
+}
+
 proptest! {
     #[test]
     fn level_matches_timestamp_lru((config, ops) in level_case()) {
@@ -302,16 +373,47 @@ proptest! {
                 }
                 Op::ResetStats => {
                     model.reset_stats();
-                    oracle.levels.iter_mut().for_each(reference::CacheLevel::reset_stats);
+                    oracle.reset_stats();
                 }
                 Op::Flush => {
                     model.flush();
-                    oracle.levels.iter_mut().for_each(reference::CacheLevel::flush);
+                    oracle.flush();
                 }
                 Op::Install(_) => unreachable!("hierarchy cases generate no installs"),
             }
         }
         prop_assert_eq!(model.level_stats(), oracle.level_stats());
         prop_assert_eq!(model.prefetches(), oracle.prefetches);
+    }
+
+    #[test]
+    fn batched_hierarchy_matches_timestamp_lru((config, steps) in batch_case()) {
+        let mut model = CacheHierarchy::new(&config);
+        let mut oracle = RefHierarchy::new(&config);
+        let l1 = config.levels[0];
+        for (i, &step) in steps.iter().enumerate() {
+            match step {
+                Step::Batch { len, seed } => {
+                    let addrs = batch(l1, len, seed);
+                    model.access_batch(&addrs);
+                    for &addr in &addrs {
+                        oracle.access(addr);
+                    }
+                }
+                Step::Access(addr) => {
+                    prop_assert_eq!(model.access(addr), oracle.access(addr), "step {} {:?} on {:?}", i, step, config);
+                }
+                Step::ResetStats => {
+                    model.reset_stats();
+                    oracle.reset_stats();
+                }
+                Step::Flush => {
+                    model.flush();
+                    oracle.flush();
+                }
+            }
+            prop_assert_eq!(model.level_stats(), oracle.level_stats(), "after step {} {:?} on {:?}", i, step, config);
+            prop_assert_eq!(model.prefetches(), oracle.prefetches, "after step {} on {:?}", i, config);
+        }
     }
 }
