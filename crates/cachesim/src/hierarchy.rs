@@ -126,10 +126,71 @@ pub struct CacheHierarchy {
 /// half the bytes of a [`Ref`] and no kind test per entry (sim-web's
 /// `op_ms` measured 12% lower, paired median, than with `Ref` streams
 /// throughout).
+///
+/// A [`crate::Tracer`] also uses a pair as the buffer it hands from L1 to
+/// the levels below: L1 writes the first stream, and the levels below
+/// run over it with the second as scratch.
 #[derive(Debug, Clone)]
-enum Streams {
+pub(crate) enum Streams {
     Demand([Vec<u64>; 2]),
     Prefetch([Vec<Ref>; 2]),
+}
+
+impl Streams {
+    fn new(prefetch: bool) -> Self {
+        if prefetch {
+            Streams::Prefetch(Default::default())
+        } else {
+            Streams::Demand(Default::default())
+        }
+    }
+
+    /// Runs `addrs` through `l1` into the first stream. Returns the
+    /// stream's length and the next-line prefetches L1 issued (one per
+    /// demand miss, none without prefetch).
+    fn first(&mut self, l1: &mut CacheLevel, addrs: &[u64]) -> (usize, u64) {
+        fn run<R: StreamRef + From<u64>>(
+            l1: &mut CacheLevel,
+            addrs: &[u64],
+            out: &mut Vec<R>,
+            prefetch: bool,
+        ) -> (usize, u64) {
+            // a prefetching L1 forwards an install after each miss
+            let room = addrs.len() << usize::from(prefetch);
+            if out.len() < room {
+                out.resize(room, R::from(0));
+            }
+            let (len, hits) = l1.pass(addrs, out, prefetch);
+            (len, (addrs.len() - hits) as u64 * u64::from(prefetch))
+        }
+        match self {
+            Streams::Demand([out, _]) => run(l1, addrs, out, false),
+            Streams::Prefetch([out, _]) => run(l1, addrs, out, true),
+        }
+    }
+
+    /// Runs the first `len` entries of the first stream down `levels`,
+    /// each over what the one above forwarded, until a level forwards
+    /// nothing.
+    pub(crate) fn rest(&mut self, levels: &mut [CacheLevel], len: usize) {
+        fn run<R: StreamRef>(levels: &mut [CacheLevel], [a, b]: &mut [Vec<R>; 2], mut len: usize) {
+            if b.len() < len {
+                b.resize(len, a[0]);
+            }
+            let (mut input, mut output) = (&mut a[..], &mut b[..]);
+            for level in levels {
+                if len == 0 {
+                    break;
+                }
+                (len, _) = level.pass(&input[..len], output, false);
+                std::mem::swap(&mut input, &mut output);
+            }
+        }
+        match self {
+            Streams::Demand(streams) => run(levels, streams, len),
+            Streams::Prefetch(streams) => run(levels, streams, len),
+        }
+    }
 }
 
 /// References per batch, here and in the tracer's pending buffer: long
@@ -147,11 +208,7 @@ impl CacheHierarchy {
         CacheHierarchy {
             levels: config.levels.iter().map(|&c| CacheLevel::new(c)).collect(),
             prefetches: 0,
-            streams: if config.prefetch_next_line {
-                Streams::Prefetch(Default::default())
-            } else {
-                Streams::Demand(Default::default())
-            },
+            streams: Streams::new(config.prefetch_next_line),
         }
     }
 
@@ -191,15 +248,33 @@ impl CacheHierarchy {
     }
 
     fn run(&mut self, addrs: &[u64]) {
-        match &mut self.streams {
-            Streams::Demand(streams) => {
-                cascade(&mut self.levels, addrs, streams, false);
-            }
-            Streams::Prefetch(streams) => {
-                // one next-line prefetch per L1 miss
-                self.prefetches += cascade(&mut self.levels, addrs, streams, true);
-            }
-        }
+        let (len, prefetches) = self.streams.first(&mut self.levels[0], addrs);
+        self.prefetches += prefetches;
+        self.streams.rest(&mut self.levels[1..], len);
+    }
+
+    /// Runs `addrs` through L1 alone, leaving in the first of `streams`
+    /// what the levels below must see. Returns that stream's length.
+    pub(crate) fn run_l1(&mut self, addrs: &[u64], streams: &mut Streams) -> usize {
+        let (len, prefetches) = streams.first(&mut self.levels[0], addrs);
+        self.prefetches += prefetches;
+        len
+    }
+
+    /// An empty pair of streams of the kind this hierarchy's levels pass.
+    pub(crate) fn empty_streams(&self) -> Streams {
+        Streams::new(matches!(self.streams, Streams::Prefetch(_)))
+    }
+
+    /// Moves the levels below L1 out, leaving L1 alone.
+    pub(crate) fn take_below(&mut self) -> Vec<CacheLevel> {
+        self.levels.split_off(1)
+    }
+
+    /// Puts back the levels [`CacheHierarchy::take_below`] moved out.
+    pub(crate) fn restore_below(&mut self, below: Vec<CacheLevel>) {
+        debug_assert_eq!(self.levels.len(), 1, "the levels below are already here");
+        self.levels.extend(below);
     }
 
     /// L1's line size in bytes.
@@ -252,35 +327,6 @@ impl CacheHierarchy {
     pub fn flush(&mut self) {
         self.levels.iter_mut().for_each(CacheLevel::flush);
     }
-}
-
-/// Runs one batch down `levels`, each over what the one above forwarded,
-/// until a level forwards nothing. Returns L1's demand misses.
-fn cascade<R: StreamRef + From<u64>>(
-    levels: &mut [CacheLevel],
-    addrs: &[u64],
-    streams: &mut [Vec<R>; 2],
-    prefetch: bool,
-) -> u64 {
-    // a prefetching L1 forwards an install after each miss
-    let room = addrs.len() << usize::from(prefetch);
-    for stream in streams.iter_mut() {
-        if stream.len() < room {
-            stream.resize(room, R::from(0));
-        }
-    }
-    let [a, b] = streams;
-    let (mut input, mut output) = (&mut a[..], &mut b[..]);
-    let (l1, below) = levels.split_first_mut().expect("at least one level");
-    let (mut len, hits) = l1.pass(addrs, input, prefetch);
-    for level in below {
-        if len == 0 {
-            break;
-        }
-        (len, _) = level.pass(&input[..len], output, false);
-        std::mem::swap(&mut input, &mut output);
-    }
-    (addrs.len() - hits) as u64
 }
 
 #[cfg(test)]

@@ -20,7 +20,9 @@
 //!   footnote (L1 4 cy, L2 12 cy, L3 42 cy, DRAM ≈ 62 ns);
 //! * [`tracer::Tracer`] — virtual address space for the graph's CSR
 //!   arrays and the algorithms' property arrays, buffering touches into
-//!   the hierarchy's batches;
+//!   the hierarchy's batches and pipelining them across two threads: L1
+//!   on the touching thread, the levels below on a worker, fed in batch
+//!   order, so the counters are the serial ones;
 //! * [`trace`] — one replayer per benchmark algorithm that performs the
 //!   real computation while feeding every data reference through the
 //!   hierarchy.

@@ -7,11 +7,28 @@
 //! a byte address and pushed through the hierarchy, a batch at a time. A
 //! separate counter tallies non-memory operations for the stall model's
 //! CPU share.
+//!
+//! The model runs as a two-stage pipeline across two threads. The thread
+//! that touches (the traced kernel's) also runs L1's pass over each full
+//! batch. It hands the stream L1 forwards, its misses and any prefetch
+//! installs, to one worker thread that owns the levels below L1 and the
+//! reuse tracker, through a bounded queue of a few reused buffers. The
+//! worker takes batches in the order they were sent, so every level sees
+//! the same ordered stream as in a serial run. Since the hierarchy is
+//! non-inclusive, that stream is all a level's state depends on, and
+//! every counter is the same as [`CacheHierarchy::access_batch`] gives.
+//! A one-level hierarchy has nothing to hand off and runs on the caller.
+//! Readers wait for the worker to finish every batch sent before they
+//! look.
 
-use crate::hierarchy::{CacheHierarchy, CacheStats, BATCH};
+use crate::hierarchy::{CacheHierarchy, CacheStats, Streams, BATCH};
+use crate::level::CacheLevel;
 use crate::stall::{StallBreakdown, StallModel};
 use gorder_obs::Histogram;
 use std::collections::HashMap;
+use std::fmt;
+use std::sync::mpsc::{self, Receiver, SyncSender};
+use std::thread::{self, JoinHandle};
 
 /// Bucket upper bounds for [`Tracer::reuse_histogram`]: powers of two
 /// from 1 to 2²³ distinct lines (plus the implicit overflow bucket).
@@ -33,7 +50,7 @@ pub const REUSE_DISTANCE_BOUNDS: [f64; 24] = {
 /// re-reference; cold first touches are not recorded). Implemented with the classic Bennett–Kruskal scheme — a
 /// Fenwick tree marking each line's most recent access time — so each
 /// access costs `O(log T)`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ReuseTracker {
     line_shift: u32,
     last: HashMap<u64, u64>,
@@ -93,6 +110,12 @@ impl ReuseTracker {
         }
         self.add(t, 1);
     }
+
+    fn record_all(&mut self, addrs: &[u64]) {
+        for &addr in addrs {
+            self.record(addr);
+        }
+    }
 }
 
 /// A virtual array: base address + element size.
@@ -126,29 +149,128 @@ impl VArray {
     }
 }
 
+/// Batch buffers shared by L1 and the worker, so at most this many
+/// batches are in flight and the handoff's memory stays bounded.
+const DEPTH: usize = 4;
+
+/// One batch on its way from L1 to the levels below.
+struct Handoff {
+    /// L1's forwarded stream first, then scratch for the levels below.
+    streams: Streams,
+    /// Length of L1's forwarded stream.
+    len: usize,
+    /// The batch's addresses, for the reuse tracker (empty when it is off).
+    addrs: Vec<u64>,
+}
+
+/// What the worker owns while it runs.
+type Below = (Vec<CacheLevel>, Option<ReuseTracker>);
+
+/// A thread running the levels below L1, and the reuse tracker if it is
+/// on, over the batches L1 sends it. It returns each buffer once done
+/// with it, and what it owns once the sending side closes.
+struct Worker {
+    batches: SyncSender<Handoff>,
+    free: Receiver<Handoff>,
+    /// Whether the worker runs the reuse tracker, which then needs each
+    /// batch's addresses. Fixed for the worker's life.
+    tracking: bool,
+    thread: JoinHandle<Below>,
+}
+
+impl Worker {
+    fn spawn((mut levels, mut reuse): Below, streams: Streams) -> Self {
+        let (batches, inbox) = mpsc::sync_channel::<Handoff>(DEPTH);
+        let (done, free) = mpsc::channel();
+        for _ in 0..DEPTH {
+            let buffer = Handoff {
+                streams: streams.clone(),
+                len: 0,
+                addrs: Vec::new(),
+            };
+            done.send(buffer).expect("the receiver is right here");
+        }
+        let tracking = reuse.is_some();
+        let thread = thread::Builder::new()
+            .name("cachesim".into())
+            .spawn(move || {
+                for mut batch in inbox {
+                    batch.streams.rest(&mut levels, batch.len);
+                    if let Some(reuse) = &mut reuse {
+                        reuse.record_all(&batch.addrs);
+                    }
+                    // fails only once the tracer stops taking buffers back
+                    let _ = done.send(batch);
+                }
+                (levels, reuse)
+            })
+            .expect("failed to spawn the cache model's worker thread");
+        Worker {
+            batches,
+            free,
+            tracking,
+            thread,
+        }
+    }
+
+    /// Closes the queue and waits until the worker has run every batch
+    /// sent. Returns what it owns, or the payload of the panic that
+    /// stopped it.
+    fn join(self) -> thread::Result<Below> {
+        drop(self.batches);
+        self.thread.join()
+    }
+
+    /// Re-raises the panic that made the worker stop taking batches (the
+    /// only way it stops while its queue is open).
+    fn fail(self) -> ! {
+        match self.join() {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(_) => unreachable!("the worker stopped while its queue was open"),
+        }
+    }
+}
+
 /// Records an algorithm's memory references into a cache hierarchy.
 ///
-/// Touches collect in a pending buffer of one hierarchy batch, handed to
-/// the hierarchy (and the reuse tracker) whenever it fills; every reader
-/// drains it first, so what it reports always covers every touch.
-#[derive(Debug, Clone)]
+/// Touches collect in a pending buffer of one hierarchy batch. When it
+/// fills, L1 runs over it on the calling thread, and a worker thread runs
+/// the levels below L1 over what L1 forwards (and the reuse tracker over
+/// the batch) while the caller goes on touching. Every reader drains the
+/// pending buffer and waits for the worker first, so what it reports
+/// always covers every touch.
 pub struct Tracer {
+    /// The whole hierarchy, or L1 alone while `worker` holds the rest.
     hierarchy: CacheHierarchy,
+    worker: Option<Worker>,
     ops: u64,
     bump: u64,
+    /// The reuse tracker, unless `worker` holds it.
     reuse: Option<ReuseTracker>,
     pending: Box<[u64]>,
     queued: usize,
+}
+
+impl fmt::Debug for Tracer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Tracer")
+            .field("ops", &self.ops)
+            .field("queued", &self.queued)
+            .field("pipelined", &self.worker.is_some())
+            .finish_non_exhaustive()
+    }
 }
 
 /// Heap base: arbitrary, line-aligned, nonzero so address 0 is never used.
 const HEAP_BASE: u64 = 0x0001_0000_0000;
 
 impl Tracer {
-    /// Wraps a hierarchy.
+    /// Wraps a hierarchy. The worker thread for the levels below L1
+    /// starts with the first full batch.
     pub fn new(hierarchy: CacheHierarchy) -> Self {
         Tracer {
             hierarchy,
+            worker: None,
             ops: 0,
             bump: HEAP_BASE,
             reuse: None,
@@ -157,16 +279,53 @@ impl Tracer {
         }
     }
 
-    /// Hands every pending touch to the hierarchy and the reuse tracker.
+    /// Runs every pending touch through the model. A full batch goes
+    /// through L1 here, and what L1 forwards goes to the worker (with the
+    /// batch, if it runs the reuse tracker), started here if the hierarchy
+    /// has more than one level and none is running. With no worker
+    /// running the hierarchy is whole, and a partial batch (drained for a
+    /// reader) runs through it and the tracker on this thread.
     fn drain(&mut self) {
-        let batch = &self.pending[..self.queued];
-        self.hierarchy.access_batch(batch);
-        if let Some(reuse) = &mut self.reuse {
-            for &addr in batch {
-                reuse.record(addr);
-            }
+        if self.queued == 0 {
+            return;
         }
-        self.queued = 0;
+        if self.worker.is_none() && self.queued == BATCH && self.hierarchy.depth() > 1 {
+            let below = (self.hierarchy.take_below(), self.reuse.take());
+            self.worker = Some(Worker::spawn(below, self.hierarchy.empty_streams()));
+        }
+        let addrs = &self.pending[..std::mem::take(&mut self.queued)];
+        let Some(worker) = &self.worker else {
+            self.hierarchy.access_batch(addrs);
+            if let Some(reuse) = &mut self.reuse {
+                reuse.record_all(addrs);
+            }
+            return;
+        };
+        let Ok(mut batch) = worker.free.recv() else {
+            self.worker.take().expect("running").fail()
+        };
+        batch.len = self.hierarchy.run_l1(addrs, &mut batch.streams);
+        batch.addrs.clear();
+        if worker.tracking {
+            batch.addrs.extend_from_slice(addrs);
+        }
+        if worker.batches.send(batch).is_err() {
+            self.worker.take().expect("running").fail();
+        }
+    }
+
+    /// Drains the pending touches and waits until the worker has run
+    /// every batch. Afterwards the hierarchy is whole and `reuse` holds
+    /// the reuse tracker, until the next full batch starts a worker.
+    fn settle(&mut self) {
+        self.drain();
+        if let Some(worker) = self.worker.take() {
+            let (below, reuse) = worker
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            self.hierarchy.restore_below(below);
+            self.reuse = reuse;
+        }
     }
 
     /// Turns on exact reuse-distance tracking (off by default: it costs
@@ -174,8 +333,8 @@ impl Tracer {
     /// the fixed [`REUSE_DISTANCE_BOUNDS`] buckets, readable via
     /// [`Tracer::reuse_histogram`].
     pub fn enable_reuse_tracking(&mut self) {
+        self.settle();
         if self.reuse.is_none() {
-            self.drain();
             self.reuse = Some(ReuseTracker::new(self.hierarchy.line_bytes()));
         }
     }
@@ -184,7 +343,7 @@ impl Tracer {
     /// observation per warm line access; cold first touches are not
     /// counted (their distance is undefined, not merely large).
     pub fn reuse_histogram(&mut self) -> Option<&Histogram> {
-        self.drain();
+        self.settle();
         self.reuse.as_ref().map(|r| &r.hist)
     }
 
@@ -224,10 +383,15 @@ impl Tracer {
         self.ops
     }
 
+    /// The hierarchy, with every touch so far run through it.
+    pub fn hierarchy(&mut self) -> &CacheHierarchy {
+        self.settle();
+        &self.hierarchy
+    }
+
     /// Cache counters so far.
     pub fn stats(&mut self) -> CacheStats {
-        self.drain();
-        self.hierarchy.stats()
+        self.hierarchy().stats()
     }
 
     /// CPU/stall split under `model`.
@@ -241,8 +405,7 @@ impl Tracer {
     /// `f64`), so two replays of the same workload produce bit-identical
     /// snapshots on any platform.
     pub fn counters(&mut self) -> CounterSnapshot {
-        self.drain();
-        let levels = self.hierarchy.level_stats();
+        let levels = self.hierarchy().level_stats();
         let (reuse_total, reuse_sum, reuse_counts) = match self.reuse_histogram() {
             Some(h) => (h.total(), h.sum(), h.counts().to_vec()),
             None => (0, 0.0, Vec::new()),
@@ -255,6 +418,18 @@ impl Tracer {
             reuse_total,
             reuse_sum,
             reuse_counts,
+        }
+    }
+}
+
+impl Drop for Tracer {
+    /// Stops the worker and waits for it. A panic it had is not raised
+    /// again here, where a second panic would abort a thread already
+    /// unwinding: the panic hook has reported it, and any reader called
+    /// before the drop raises it.
+    fn drop(&mut self) {
+        if let Some(worker) = self.worker.take() {
+            let _ = worker.join();
         }
     }
 }
@@ -429,6 +604,44 @@ mod tests {
         let h = t.reuse_histogram().unwrap();
         assert_eq!(h.total(), 2, "64-byte lines would give one warm touch");
         assert_eq!(h.sum(), 1.0);
+    }
+
+    /// A tracer whose worker panics on the next batch it takes: one
+    /// claiming a longer stream from L1 than its buffer holds.
+    fn poisoned() -> (Tracer, VArray) {
+        let mut t = tracer();
+        let a = t.alloc(BATCH, 64);
+        for i in 0..BATCH {
+            t.touch(&a, i);
+        }
+        let worker = t.worker.as_ref().expect("a full batch starts the worker");
+        let mut batch = worker.free.recv().unwrap();
+        batch.len = match &batch.streams {
+            Streams::Demand([first, _]) => first.len() + 1,
+            Streams::Prefetch([first, _]) => first.len() + 1,
+        };
+        worker.batches.send(batch).unwrap();
+        (t, a)
+    }
+
+    #[test]
+    fn a_worker_panic_reaches_readers_and_touches() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let (mut t, _) = poisoned();
+        assert!(
+            catch_unwind(AssertUnwindSafe(|| t.stats())).is_err(),
+            "reader"
+        );
+        let (mut t, a) = poisoned();
+        let touching = catch_unwind(AssertUnwindSafe(|| {
+            for i in 0..(DEPTH + 2) * BATCH {
+                t.touch(&a, i % BATCH);
+            }
+        }));
+        assert!(touching.is_err(), "touch");
+        // dropping joins the worker without panicking again
+        let (t, _) = poisoned();
+        drop(t);
     }
 
     #[test]
