@@ -20,6 +20,14 @@
 //! A one-level hierarchy has nothing to hand off and runs on the caller.
 //! Readers wait for the worker to finish every batch sent before they
 //! look.
+//!
+//! The optional reuse-distance tracker ([`Tracer::enable_reuse_tracking`])
+//! is bounded by the distinct lines `L` a trace touches, not by its
+//! length: at most about 40 bytes per line, 16 for the last-access
+//! vector (4-byte times, covering up to four lines per line seen) and 24
+//! for the `2L` time slots it renumbers into when they fill (a 4-byte
+//! tree node and an 8-byte line each), plus 1 MiB of the vector's fixed
+//! slack.
 
 use crate::hierarchy::{CacheHierarchy, CacheStats, Streams, BATCH};
 use crate::level::CacheLevel;
@@ -47,68 +55,172 @@ pub const REUSE_DISTANCE_BOUNDS: [f64; 24] = {
 /// Exact LRU reuse distances over cache lines of the hierarchy's L1 line
 /// size: for each access, the number of *distinct other lines* touched
 /// since the previous access to the same line (0 = immediate
-/// re-reference; cold first touches are not recorded). Implemented with the classic Bennett–Kruskal scheme — a
-/// Fenwick tree marking each line's most recent access time — so each
-/// access costs `O(log T)`.
+/// re-reference; cold first touches are not recorded). Implemented with
+/// the classic Bennett–Kruskal scheme: a Fenwick tree over access times
+/// marks each line's most recent access, so each access costs
+/// `O(log S)` for `S` time slots.
+///
+/// For `L` distinct lines seen (the bound is in the module doc):
+///
+/// * **Last access per line.** [`Tracer::alloc`] hands out dense
+///   addresses from `HEAP_BASE`, so the times are a vector indexed by
+///   line. It covers at most `4 × (L + DENSE_LINES)` lines; a line
+///   beyond that (a sparse touch far into a huge array) keeps its time
+///   in a hash map until the vector reaches it.
+/// * **Time slots.** When the clock reaches the slot capacity, the live
+///   marks are renumbered `1..=L` in time order and the tree is rebuilt
+///   with `max(2L, MIN_SLOTS)` slots. A distance counts the marks
+///   between two times, which the renumbering keeps in order, so it
+///   stays exact; its `O(S)` cost is paid once per at least `S / 2`
+///   accesses.
 #[derive(Debug)]
 struct ReuseTracker {
     line_shift: u32,
-    last: HashMap<u64, u64>,
-    tree: Vec<u64>, // 1-indexed Fenwick tree over access times
-    now: u64,
+    /// The line of `HEAP_BASE`, which lines are numbered from.
+    base_line: u64,
+    /// Per line, the time of its last access, or 0 if never seen.
+    last: Vec<u32>,
+    /// The same for lines at or beyond `last.len()`.
+    far: HashMap<u64, u32>,
+    /// Per time slot, the line accessed then (`owner[0]` is unused). A
+    /// slot whose line was accessed again later is stale.
+    owner: Vec<u64>,
+    /// 1-indexed Fenwick tree over time slots: 1 at each line's last
+    /// access time.
+    tree: Vec<u32>,
+    /// The latest time handed out.
+    now: u32,
+    /// Distinct lines seen, which is the number of marks in the tree.
+    lines: u32,
     hist: Histogram,
 }
 
+/// Fewest time slots the tracker keeps, so a trace over a handful of
+/// lines does not renumber every few accesses.
+const MIN_SLOTS: usize = 64;
+
+/// Lines the dense last-access vector may cover beyond four per line
+/// seen (4 bytes each, so 1 MiB).
+const DENSE_LINES: u64 = 1 << 16;
+
 impl ReuseTracker {
     fn new(line_bytes: u64) -> Self {
+        let line_shift = line_bytes.trailing_zeros();
         ReuseTracker {
-            line_shift: line_bytes.trailing_zeros(),
-            last: HashMap::new(),
-            tree: vec![0],
+            line_shift,
+            base_line: HEAP_BASE >> line_shift,
+            last: Vec::new(),
+            far: HashMap::new(),
+            owner: vec![0; MIN_SLOTS + 1],
+            tree: vec![0; MIN_SLOTS + 1],
             now: 0,
+            lines: 0,
             hist: Histogram::new(&REUSE_DISTANCE_BOUNDS),
         }
     }
 
-    fn add(&mut self, mut i: u64, delta: i64) {
-        while (i as usize) < self.tree.len() {
-            self.tree[i as usize] = self.tree[i as usize].wrapping_add(delta as u64);
+    /// `line`'s last access time, 0 if never seen.
+    #[inline]
+    fn time(&mut self, line: u64) -> &mut u32 {
+        if line < self.last.len() as u64 {
+            return &mut self.last[line as usize];
+        }
+        self.time_far(line)
+    }
+
+    /// Grows the dense vector to reach `line` if that keeps it within
+    /// its bound, moving the hash map's lines it now covers into it;
+    /// otherwise `line` lives in the hash map.
+    #[cold]
+    fn time_far(&mut self, line: u64) -> &mut u32 {
+        let reach = 4 * (u64::from(self.lines) + DENSE_LINES);
+        if line >= reach {
+            return self.far.entry(line).or_insert(0);
+        }
+        let len = (line + 1).next_power_of_two().min(reach);
+        self.last.resize(len as usize, 0);
+        let last = &mut self.last;
+        self.far.retain(|&l, &mut t| {
+            let dense = l < len;
+            if dense {
+                last[l as usize] = t;
+            }
+            !dense
+        });
+        &mut self.last[line as usize]
+    }
+
+    fn add(&mut self, mut i: usize, delta: u32) {
+        while i < self.tree.len() {
+            self.tree[i] = self.tree[i].wrapping_add(delta);
             i += i & i.wrapping_neg();
         }
     }
 
-    fn prefix(&self, mut i: u64) -> u64 {
-        let mut s = 0u64;
+    fn prefix(&self, mut i: usize) -> u32 {
+        let mut s = 0u32;
         while i > 0 {
-            s = s.wrapping_add(self.tree[i as usize]);
-            i -= i & i.wrapping_neg();
+            s = s.wrapping_add(self.tree[i]);
+            i &= i - 1;
         }
         s
     }
 
+    /// Renumbers the live marks `1..=lines` in time order and rebuilds
+    /// the tree with room for as many new times again.
+    #[cold]
+    fn renumber(&mut self) {
+        let mut rank = 0;
+        for t in 1..=self.now {
+            let line = self.owner[t as usize];
+            // A line's live time is its latest, so it is met after all
+            // of its stale ones, and the ranks written never exceed `t`.
+            let last = self.time(line);
+            if *last == t {
+                rank += 1;
+                *last = rank;
+                self.owner[rank as usize] = line;
+            }
+        }
+        debug_assert_eq!(rank, self.lines);
+        let slots = (2 * rank as usize).max(MIN_SLOTS);
+        assert!(
+            slots < u32::MAX as usize,
+            "reuse tracking holds fewer than 2^31 distinct lines"
+        );
+        self.now = rank;
+        self.owner.resize(slots + 1, 0);
+        // Linear Fenwick build over ones at 1..=rank.
+        self.tree.clear();
+        self.tree.resize(slots + 1, 0);
+        self.tree[1..=rank as usize].fill(1);
+        for i in 1..=slots {
+            let parent = i + (i & i.wrapping_neg());
+            if parent <= slots {
+                self.tree[parent] += self.tree[i];
+            }
+        }
+    }
+
     fn record(&mut self, addr: u64) {
-        let line = addr >> self.line_shift;
+        let line = (addr >> self.line_shift) - self.base_line;
+        if self.now as usize + 1 == self.tree.len() {
+            self.renumber();
+        }
         self.now += 1;
         let t = self.now;
-        if self.tree.len() <= t as usize {
-            self.tree.resize((t as usize + 1).next_power_of_two(), 0);
-            // Rebuild: Fenwick trees cannot simply be zero-extended,
-            // because parent ranges change size. Re-inserting the live
-            // marks is O(L log T) and happens O(log T) times.
-            for v in &mut self.tree {
-                *v = 0;
-            }
-            let marks: Vec<u64> = self.last.values().copied().collect();
-            for m in marks {
-                self.add(m, 1);
-            }
+        let prev = std::mem::replace(self.time(line), t);
+        self.owner[t as usize] = line;
+        if prev == 0 {
+            self.lines += 1;
+        } else {
+            // Every mark is at a time before `t`, so the marks after
+            // `prev` are all of them minus those up to it.
+            let distance = self.lines - self.prefix(prev as usize);
+            self.add(prev as usize, u32::MAX);
+            self.hist.observe(f64::from(distance));
         }
-        if let Some(prev) = self.last.insert(line, t) {
-            let distance = self.prefix(t - 1) - self.prefix(prev);
-            self.add(prev, -1);
-            self.hist.observe(distance as f64);
-        }
-        self.add(t, 1);
+        self.add(t as usize, 1);
     }
 
     fn record_all(&mut self, addrs: &[u64]) {
@@ -329,8 +441,9 @@ impl Tracer {
     }
 
     /// Turns on exact reuse-distance tracking (off by default: it costs
-    /// `O(log T)` per access plus a last-access map). Distances land in
-    /// the fixed [`REUSE_DISTANCE_BOUNDS`] buckets, readable via
+    /// `O(log L)` per access for `L` distinct lines seen, and memory
+    /// bounded by `L` as the module doc says). Distances land in the
+    /// fixed [`REUSE_DISTANCE_BOUNDS`] buckets, readable via
     /// [`Tracer::reuse_histogram`].
     pub fn enable_reuse_tracking(&mut self) {
         self.settle();

@@ -56,9 +56,22 @@
 //!   property of the graph alone. The window holds at most `w + 1`
 //!   streams and never more than `n + m` ids: a stream that does not fit
 //!   is not recorded, and its node's exit walks the graph as before.
+//! * **Compacted rows.** About half of the ids a walk meets in the
+//!   graph's out-rows were placed long ago, and each costs a random read
+//!   of its slot just to be dropped. So the walk reads a private copy of
+//!   the out-rows (`Rows`), and as it walks a row it writes the row's
+//!   unplaced ids back to its front, in order, using the flag `touch`
+//!   computes anyway. Filtering an ordered stream by a set that only
+//!   grows gives the same stream, so the touches, the recorded streams
+//!   and every counter are unchanged. The copy borrows the graph's
+//!   offsets and adds one live length per node: the build holds
+//!   `4(n + m)` bytes more, freed before it returns. In-rows are not
+//!   compacted, since a placed in-neighbour still links its siblings.
+//!   The walk also prefetches the row and live length of the
+//!   in-neighbour two places ahead.
 //!
-//! `reference` in this module's tests keeps the per-unit loop as the
-//! oracle the equivalence is checked against (placements and hub skips),
+//! `tests/gorder_oracle.rs` keeps the per-unit loop as the oracle the
+//! equivalence is checked against (placements and all five counters),
 //! and `tests/golden_perms.rs` pins the pre-optimisation digests.
 
 use crate::budget::{Budget, DegradeReason, ExecOutcome, CHECK_STRIDE};
@@ -233,8 +246,9 @@ impl DeltaScratch {
         self.events.resize(len, 0);
     }
 
+    /// Returns whether `u` is unplaced, i.e. whether the touch counted.
     #[inline]
-    fn touch(&mut self, u: NodeId, sign: i32) {
+    fn touch(&mut self, u: NodeId, sign: i32) -> bool {
         let i = self.len;
         self.events[i] = u;
         let slot = &mut self.slots[u as usize];
@@ -244,34 +258,51 @@ impl DeltaScratch {
         slot.delta += select_unpredictable(live, sign, 0);
         slot.last = select_unpredictable(live, i as u32, PLACED);
         self.len = i + usize::from(live);
+        live
+    }
+
+    /// Touches the ids of `x`'s out-row in order and keeps the unplaced
+    /// ones, still in order, at the row's front. The caller reserves room
+    /// for the row.
+    #[inline]
+    fn touch_row(&mut self, rows: &mut Rows, x: NodeId, sign: i32) {
+        let (row, live) = rows.row_mut(x);
+        let mut kept = 0;
+        for i in 0..row.len() {
+            let u = row[i];
+            row[kept] = u;
+            kept += usize::from(self.touch(u, sign));
+        }
+        // `kept` ≤ the old live length, which fits a u32.
+        *live = kept as u32;
     }
 
     /// Touches, with `sign`, every candidate whose score changes when `v`
     /// enters (`+1`) or leaves (`-1`) the window, in the exact order the
-    /// per-unit implementation issued them. Returns the hubs skipped.
-    fn walk(&mut self, g: &Graph, v: NodeId, sign: i32, hub_threshold: u32) -> u32 {
+    /// per-unit implementation issued them, minus placed ids the rows
+    /// already shed. Returns the hubs skipped.
+    fn walk(&mut self, rows: &mut Rows, v: NodeId, sign: i32, hub_threshold: u32) -> u32 {
+        let g = rows.g;
         // Neighbour score via out-edges of v: S_n(u, v) counts edge v → u.
-        let outs = g.out_neighbors(v);
-        self.reserve(outs.len());
-        for &u in outs {
-            self.touch(u, sign);
-        }
+        self.reserve(rows.live(v));
+        self.touch_row(rows, v, sign);
         let mut hub_skips = 0;
-        for &x in g.in_neighbors(v) {
+        let ins = g.in_neighbors(v);
+        for (k, &x) in ins.iter().enumerate() {
+            if let Some(&ahead) = ins.get(k + 2) {
+                rows.prefetch(ahead);
+            }
             // Sibling score: x is a common in-neighbour of v and of every
             // other out-neighbour u of x (v itself is placed, so its own
-            // touch is dropped like any other placed node's).
-            let siblings = if g.out_degree(x) > hub_threshold {
-                hub_skips += 1;
-                &[]
-            } else {
-                g.out_neighbors(x)
-            };
-            self.reserve(1 + siblings.len());
+            // touch is dropped like any other placed node's). The hub
+            // test reads the graph's degree, placed ids included.
+            let hub = g.out_degree(x) > hub_threshold;
+            hub_skips += u32::from(hub);
+            self.reserve(1 + if hub { 0 } else { rows.live(x) });
             // Neighbour score via in-edges of v: S_n counts edge x → v.
             self.touch(x, sign);
-            for &u in siblings {
-                self.touch(u, sign);
+            if !hub {
+                self.touch_row(rows, x, sign);
             }
         }
         hub_skips
@@ -281,14 +312,14 @@ impl DeltaScratch {
     /// stream, which is kept for its exit.
     fn enter(
         &mut self,
-        g: &Graph,
+        rows: &mut Rows,
         v: NodeId,
         hub_threshold: u32,
         window: &mut Window,
         stats: &mut GorderStats,
     ) {
         debug_assert_eq!(self.len, 0, "enter opens the step");
-        let hub_skips = self.walk(g, v, 1, hub_threshold);
+        let hub_skips = self.walk(rows, v, 1, hub_threshold);
         stats.hub_skips += u64::from(hub_skips);
         window.record(v, &self.events[..self.len], hub_skips);
     }
@@ -297,10 +328,10 @@ impl DeltaScratch {
     /// `-1`, and `touch` drops the candidates placed since it was
     /// recorded. That is the stream a fresh walk would produce, because
     /// the placed set only grows. A stream the window had no room for is
-    /// walked again instead.
+    /// walked again instead, over the compacted rows.
     fn exit(
         &mut self,
-        g: &Graph,
+        rows: &mut Rows,
         hub_threshold: u32,
         window: &mut Window,
         stats: &mut GorderStats,
@@ -314,11 +345,13 @@ impl DeltaScratch {
             Some(len) => {
                 let len = len as usize;
                 self.reserve(len);
-                window.ids.range(..len).for_each(|&u| self.touch(u, -1));
+                for &u in window.ids.range(..len) {
+                    self.touch(u, -1);
+                }
                 window.ids.drain(..len);
             }
             None => {
-                let hub_skips = self.walk(g, entry.node, -1, hub_threshold);
+                let hub_skips = self.walk(rows, entry.node, -1, hub_threshold);
                 debug_assert_eq!(hub_skips, entry.hub_skips);
             }
         }
@@ -347,6 +380,69 @@ impl DeltaScratch {
         }
         self.len = 0;
     }
+}
+
+/// The out-rows the walk reads: a private copy of the graph's out-CSR
+/// targets, indexed by the graph's own offsets, from which a walk drops
+/// the ids placed since the row was last walked. Row `x` is
+/// `ids[offsets[x]..][..live[x]]`, the graph's row `x` in the same order
+/// minus placed ids the walks already met. In-rows are not copied: a
+/// placed in-neighbour still links its siblings.
+struct Rows<'g> {
+    g: &'g Graph,
+    offsets: &'g [u64],
+    /// Exactly `m` ids; a boxed slice, so it never grows.
+    ids: Box<[NodeId]>,
+    live: Box<[u32]>,
+}
+
+impl<'g> Rows<'g> {
+    fn new(g: &'g Graph) -> Self {
+        let (offsets, targets) = g.out_csr();
+        Rows {
+            g,
+            offsets,
+            ids: targets.into(),
+            live: g.nodes().map(|u| g.out_degree(u)).collect(),
+        }
+    }
+
+    /// The number of ids row `x` still holds.
+    #[inline]
+    fn live(&self, x: NodeId) -> usize {
+        self.live[x as usize] as usize
+    }
+
+    /// Row `x` and its live length, for a walk that compacts it.
+    #[inline]
+    fn row_mut(&mut self, x: NodeId) -> (&mut [NodeId], &mut u32) {
+        let live = &mut self.live[x as usize];
+        let start = self.offsets[x as usize] as usize;
+        (&mut self.ids[start..start + *live as usize], live)
+    }
+
+    /// Starts loading row `x`'s first ids and its live length.
+    #[inline]
+    fn prefetch(&self, x: NodeId) {
+        let start = self.offsets[x as usize] as usize;
+        prefetch(self.ids.as_ptr().wrapping_add(start));
+        prefetch(self.live.as_ptr().wrapping_add(x as usize));
+    }
+}
+
+/// Hints the CPU to bring the cache line holding `p` into L1. A no-op
+/// off x86_64.
+#[inline(always)]
+fn prefetch<T>(p: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch is only a hint. It loads nothing the program can
+    // observe and never faults, whatever address it is given.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(p.cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
 }
 
 /// The entry streams of the nodes in the window, oldest first, kept so
@@ -465,6 +561,7 @@ impl Gorder {
             let mut heap = UnitHeap::new(n);
             let mut scratch = DeltaScratch::new(n);
             let mut window = Window::new(replay_cap);
+            let mut rows = Rows::new(g);
             // Seed with the highest in-degree node: it has the most
             // siblings to pull in behind it. Ties break toward the
             // smallest id.
@@ -474,16 +571,16 @@ impl Gorder {
             heap.remove(seed);
             scratch.place(seed);
             placement.push(seed);
-            scratch.enter(g, seed, hub, &mut window, &mut stats);
+            scratch.enter(&mut rows, seed, hub, &mut window, &mut stats);
             scratch.flush(&mut heap, &mut stats);
 
             while let Some(v) = heap.pop_max() {
                 stats.pops += 1;
                 scratch.place(v);
                 placement.push(v);
-                scratch.enter(g, v, hub, &mut window, &mut stats);
+                scratch.enter(&mut rows, v, hub, &mut window, &mut stats);
                 if placement.len() > w {
-                    scratch.exit(g, hub, &mut window, &mut stats);
+                    scratch.exit(&mut rows, hub, &mut window, &mut stats);
                 }
                 // One net heap update per candidate the enter + exit
                 // deltas touched, instead of a stream of ±1 operations.
@@ -600,136 +697,16 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// The pre-coalescing build loop, kept verbatim as the tie-breaking
-    /// oracle: every score change is issued as its own ±1 heap operation,
-    /// in stream order, and a node leaving the window walks the graph
-    /// again. The coalesced hot path must reproduce this placement byte
-    /// for byte; `unit_ops` counts the heap operations it avoided.
-    mod reference {
-        use super::*;
-
-        /// What a per-unit run did besides placing nodes.
-        #[derive(Debug, Default)]
-        pub struct Counts {
-            pub unit_ops: u64,
-            pub hub_skips: u64,
-        }
-
-        fn apply_delta(
-            g: &Graph,
-            v: NodeId,
-            add: bool,
-            hub_threshold: u32,
-            heap: &mut UnitHeap,
-            counts: &mut Counts,
-        ) {
-            let mut bump = |heap: &mut UnitHeap, u: NodeId| {
-                if add {
-                    heap.increment(u);
-                } else {
-                    heap.decrement(u);
-                }
-                counts.unit_ops += 1;
-            };
-            for &u in g.out_neighbors(v) {
-                bump(heap, u);
-            }
-            for &x in g.in_neighbors(v) {
-                bump(heap, x);
-                if g.out_degree(x) > hub_threshold {
-                    counts.hub_skips += 1;
-                    continue;
-                }
-                for &u in g.out_neighbors(x) {
-                    if u != v {
-                        bump(heap, u);
-                    }
-                }
-            }
-        }
-
-        /// Per-unit-update Gorder: the exact pre-optimisation algorithm.
-        pub fn compute(gorder: &Gorder, g: &Graph) -> (Vec<NodeId>, Counts) {
-            let n = g.n();
-            let mut counts = Counts::default();
-            let mut placement: Vec<NodeId> = Vec::with_capacity(n as usize);
-            if n == 0 {
-                return (placement, counts);
-            }
-            let w = gorder.window_size() as usize;
-            let hub = gorder.hub_threshold().unwrap_or(u32::MAX);
-            let mut heap = UnitHeap::new(n);
-            let seed = (0..n)
-                .max_by_key(|&u| (g.in_degree(u), std::cmp::Reverse(u)))
-                .expect("non-empty graph");
-            heap.remove(seed);
-            placement.push(seed);
-            apply_delta(g, seed, true, hub, &mut heap, &mut counts);
-            while let Some(v) = heap.pop_max() {
-                placement.push(v);
-                apply_delta(g, v, true, hub, &mut heap, &mut counts);
-                if placement.len() > w {
-                    let expiring = placement[placement.len() - 1 - w];
-                    apply_delta(g, expiring, false, hub, &mut heap, &mut counts);
-                }
-            }
-            (placement, counts)
-        }
-    }
-
-    #[test]
-    fn coalesced_build_matches_per_unit_reference_exactly() {
-        // Across graph families, window sizes, and hub thresholds, the
-        // coalesced hot path reproduces the per-unit placement byte for
-        // byte and skips the same hubs (exits replayed from the entry
-        // stream carry their entry's count) while performing strictly
-        // fewer heap operations.
-        let graphs = [
-            ("social", social(400)),
-            ("copying", copying_model(350, 6, 0.7, 21)),
-            (
-                "sparse",
-                Graph::from_edges(8, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),
-            ),
-        ];
-        for (tag, g) in &graphs {
-            for w in [1u32, 2, 5, 64] {
-                for hub in [None, Some(2), Some(8)] {
-                    let gorder = GorderBuilder::new().window(w).hub_threshold(hub).build();
-                    let (ref_placement, counts) = reference::compute(&gorder, g);
-                    let (perm, stats) = gorder.compute_with_stats(g);
-                    assert_eq!(
-                        perm.placement(),
-                        ref_placement,
-                        "{tag} w={w} hub={hub:?}: coalesced placement diverged \
-                         from the per-unit reference"
-                    );
-                    assert_eq!(
-                        stats.hub_skips, counts.hub_skips,
-                        "{tag} w={w} hub={hub:?}: hub skips diverged from the \
-                         per-unit reference"
-                    );
-                    assert!(
-                        stats.heap_updates() < counts.unit_ops,
-                        "{tag} w={w} hub={hub:?}: coalescing must cut heap ops \
-                         ({} vs {} unit updates)",
-                        stats.heap_updates(),
-                        counts.unit_ops
-                    );
-                }
-            }
-        }
-    }
-
     #[test]
     fn exit_replay_matches_a_fresh_walk_at_any_cap() {
-        // With no room for replay every exit walks the graph again; with
-        // unbounded room every exit replays its entry stream. Both, and
-        // the default bound, give the same placement and counters.
+        // With no room for replay every exit walks the compacted rows
+        // again; with unbounded room every exit replays its entry stream.
+        // Both, and the default bound, give the same placement and
+        // counters.
         let graphs = [social(400), copying_model(350, 6, 0.7, 21)];
         for g in &graphs {
             for w in [1u32, 5, 64] {
-                for hub in [None, Some(8)] {
+                for hub in [None, Some(2), Some(8)] {
                     let gorder = GorderBuilder::new().window(w).hub_threshold(hub).build();
                     let walked = gorder.greedy(g, None, 0);
                     let replayed = gorder.greedy(g, None, usize::MAX);
@@ -738,6 +715,79 @@ mod tests {
                     assert_eq!(walked, default, "w={w} hub={hub:?}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_fully_dead_row_is_walked_as_empty() {
+        // Row 0 is {1, 2}. Walking 1 after both are placed touches 0 and
+        // sheds the whole row; walking 2 then touches 0 alone. Every
+        // touch writes the stream buffer, dropped ones included, so a
+        // buffer left as filled shows that no dead id was read.
+        const UNWRITTEN: NodeId = 7;
+        let g = Graph::from_edges(3, &[(0, 1), (0, 2)]);
+        let mut rows = Rows::new(&g);
+        let mut scratch = DeltaScratch::new(3);
+        scratch.place(1);
+        scratch.place(2);
+        scratch.walk(&mut rows, 1, 1, u32::MAX);
+        assert_eq!(scratch.events[..scratch.len], [0]);
+        assert_eq!(rows.live(0), 0);
+        scratch.len = 0;
+        scratch.events.fill(UNWRITTEN);
+        scratch.walk(&mut rows, 2, 1, u32::MAX);
+        assert_eq!(scratch.events[..scratch.len], [0]);
+        assert!(
+            scratch.events[1..].iter().all(|&u| u == UNWRITTEN),
+            "the dead row was read: {:?}",
+            scratch.events
+        );
+    }
+
+    #[test]
+    fn compacted_rows_keep_graph_order_within_m_ids() {
+        // Walking nodes in Gorder's own placement order, every row stays
+        // the graph's row in order minus some placed ids, keeps every
+        // unplaced id, and the private copy holds exactly m ids
+        // throughout, with hub skipping off and on.
+        let g = social(300);
+        for hub in [None, Some(2)] {
+            let order = GorderBuilder::new()
+                .hub_threshold(hub)
+                .build()
+                .compute(&g)
+                .placement();
+            let mut rows = Rows::new(&g);
+            let mut scratch = DeltaScratch::new(g.n());
+            let mut placed = vec![false; g.n() as usize];
+            for chunk in order.chunks(37) {
+                // Place and walk each node's entry as the build does; the
+                // streams are dropped.
+                for &v in chunk {
+                    scratch.place(v);
+                    placed[v as usize] = true;
+                    scratch.walk(&mut rows, v, 1, hub.unwrap_or(u32::MAX));
+                    scratch.len = 0;
+                }
+                assert_eq!(rows.ids.len() as u64, g.m());
+                for x in g.nodes() {
+                    let row = &rows.ids[rows.offsets[x as usize] as usize..][..rows.live(x)];
+                    let full = g.out_neighbors(x);
+                    let mut rest = full.iter();
+                    assert!(
+                        row.iter().all(|u| rest.any(|f| f == u)),
+                        "row {x} is not in graph order: {row:?} vs {full:?}"
+                    );
+                    assert!(
+                        full.iter()
+                            .filter(|&&u| !placed[u as usize])
+                            .all(|u| row.contains(u)),
+                        "row {x} lost an unplaced id"
+                    );
+                }
+            }
+            let live: usize = g.nodes().map(|x| rows.live(x)).sum();
+            assert!(live < g.m() as usize, "walks shed no id at all");
         }
     }
 
