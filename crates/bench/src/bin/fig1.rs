@@ -10,9 +10,10 @@
 
 use gorder_bench::fmt::{write_csv, Table};
 use gorder_bench::HarnessArgs;
-use gorder_cachesim::trace::{replay, TraceCtx, TRACED_ALGOS};
+use gorder_cachesim::trace::replay;
 use gorder_cachesim::{CacheHierarchy, HierarchyConfig, StallModel, Tracer};
 use gorder_core::Gorder;
+use gorder_engine::KernelCtx;
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -33,7 +34,7 @@ fn main() {
     let model = StallModel::skylake();
     let perm = Gorder::with_defaults().compute(&g);
     let reordered = g.relabel(&perm);
-    let ctx = TraceCtx {
+    let ctx = KernelCtx {
         pr_iterations: if args.quick { 5 } else { 20 },
         diameter_samples: if args.quick { 2 } else { 4 },
         seed: args.seed,
@@ -50,7 +51,7 @@ fn main() {
         "gord total",
     ]);
     let mut csv_rows = Vec::new();
-    for name in TRACED_ALGOS {
+    for name in gorder_engine::kernel_names() {
         let run = |graph: &gorder_graph::Graph| {
             let mut tracer = Tracer::new(CacheHierarchy::new(&hconfig));
             replay(name, graph, &mut tracer, &ctx).expect("known algorithm");

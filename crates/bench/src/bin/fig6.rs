@@ -9,10 +9,10 @@
 //! near-first elsewhere; RCM and ChDFS its only real challengers; Random
 //! last almost always, LDG just above it.
 
-use gorder_algos::KernelStats;
 use gorder_bench::fmt::{read_csv, Table};
 use gorder_bench::schema::FIG5_KNOWN_HEADERS;
 use gorder_bench::{rank_counts, run_grid, CellResult, GridConfig, HarnessArgs};
+use gorder_engine::KernelStats;
 use std::path::Path;
 
 fn main() {

@@ -5,7 +5,6 @@
 //! SlashBurn/LDG moderate, MinLA < MinLogA expensive, Gorder the most
 //! expensive and visibly super-linear in m.
 
-use gorder_algos::{ExecPlan, GraphAlgorithm, RunCtx};
 use gorder_bench::fmt::{write_csv, Table};
 use gorder_bench::robust::{resolve_ordering, OrderHooks};
 use gorder_bench::schema::TABLE2_HEADER;
@@ -14,6 +13,7 @@ use gorder_bench::{
     check_ordering_filter, expected_config_hash, HarnessArgs, ResumeState, SweepTrace,
 };
 use gorder_core::budget::ExecOutcome;
+use gorder_engine::{run_by_name_plan, ExecPlan, KernelCtx};
 use gorder_obs::{CellEvent, OrderEvent, TraceEvent};
 use gorder_orders::{OrderCache, OrderingAlgorithm};
 use std::sync::Arc;
@@ -199,8 +199,9 @@ fn main() {
             let (bfs_iters, bfs_edges, bfs_threads) = match &perm {
                 Some(perm) => {
                     let rg = g.relabel(perm);
-                    let (_, stats) =
-                        gorder_algos::bfs::Bfs.run_stats_plan(&rg, &RunCtx::default(), plan);
+                    let stats = run_by_name_plan("BFS", &rg, &KernelCtx::default(), plan)
+                        .expect("BFS is an engine kernel")
+                        .stats;
                     (
                         stats.iterations.to_string(),
                         stats.edges_relaxed.to_string(),

@@ -9,8 +9,9 @@
 
 use gorder_bench::fmt::{write_csv, Table};
 use gorder_bench::HarnessArgs;
-use gorder_cachesim::trace::{pagerank, TraceCtx};
+use gorder_cachesim::trace::pagerank;
 use gorder_cachesim::{CacheHierarchy, HierarchyConfig, Tracer};
+use gorder_engine::KernelCtx;
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -19,7 +20,7 @@ fn main() {
     } else {
         HierarchyConfig::scaled_down()
     };
-    let ctx = TraceCtx {
+    let ctx = KernelCtx {
         pr_iterations: if args.quick { 3 } else { 10 },
         seed: args.seed,
         ..Default::default()

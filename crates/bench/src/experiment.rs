@@ -6,10 +6,10 @@
 //! result is a flat list of cells, one per (dataset, ordering, algorithm).
 
 use crate::timing::median_secs;
-use gorder_algos::{ExecPlan, GraphAlgorithm, KernelStats, RunCtx};
-use gorder_cachesim::trace::{replay_with_stats, TraceCtx};
+use gorder_cachesim::trace::replay_with_stats;
 use gorder_cachesim::{CacheHierarchy, HierarchyConfig, StallModel, Tracer};
 use gorder_core::budget::Budget;
+use gorder_engine::{ExecPlan, KernelCtx, KernelStats};
 use gorder_graph::datasets::Dataset;
 use gorder_graph::Permutation;
 use gorder_orders::{run_ordering, OrderingAlgorithm};
@@ -69,8 +69,8 @@ impl GridConfig {
     }
 
     /// The algorithm parameters implied by this configuration.
-    pub fn run_ctx(&self) -> RunCtx {
-        RunCtx {
+    pub fn run_ctx(&self) -> KernelCtx {
+        KernelCtx {
             source: None,
             pr_iterations: if self.quick { 10 } else { 100 },
             damping: 0.85,
@@ -94,8 +94,7 @@ pub struct CellResult {
     /// Checksum of the last run (work-elision guard; relabeling-invariant
     /// where the algorithm's output is).
     pub checksum: u64,
-    /// Engine execution metrics of the last run (zeroed for algorithms
-    /// without engine instrumentation).
+    /// Engine execution metrics of the last run.
     pub stats: KernelStats,
 }
 
@@ -119,16 +118,21 @@ fn selected<T, F: Fn(&T) -> &str>(all: Vec<T>, filter: &Option<Vec<String>>, nam
     }
 }
 
+/// The kernel labels a grid runs: the nine paper kernels, then the four
+/// extension kernels when `extended`, narrowed by the `algos` filter.
+pub(crate) fn grid_kernels(extended: bool, algos: &Option<Vec<String>>) -> Vec<&'static str> {
+    let mut all = gorder_engine::kernel_names();
+    if extended {
+        all.extend(gorder_engine::EXTENSION_KERNELS);
+    }
+    selected(all, algos, |a| *a)
+}
+
 /// Runs the grid, reporting progress on stderr.
 pub fn run_grid(cfg: &GridConfig) -> Vec<CellResult> {
     let orderings: Vec<Box<dyn OrderingAlgorithm>> =
         selected(cfg.ordering_pool(), &cfg.orderings, |o| o.name());
-    let algo_pool = if cfg.extended {
-        gorder_algos::extended()
-    } else {
-        gorder_algos::all()
-    };
-    let algos: Vec<Box<dyn GraphAlgorithm>> = selected(algo_pool, &cfg.algos, |a| a.name());
+    let algos = grid_kernels(cfg.extended, &cfg.algos);
     let base_ctx = cfg.run_ctx();
     let mut cells = Vec::new();
     for d in &cfg.datasets {
@@ -138,24 +142,25 @@ pub fn run_grid(cfg: &GridConfig) -> Vec<CellResult> {
         for o in &orderings {
             let perm = ordered(o.as_ref(), &g);
             let rg = g.relabel(&perm);
-            let ctx = RunCtx {
+            let ctx = KernelCtx {
                 source: Some(perm.apply(logical_source)),
                 ..base_ctx.clone()
             };
-            for a in &algos {
+            for &name in &algos {
                 let plan = cfg.exec_plan();
                 let mut stats = KernelStats::default();
                 let (secs, checksum) = median_secs(
                     || {
-                        let (checksum, s) = a.run_stats_plan(&rg, &ctx, plan);
-                        stats = s;
-                        checksum
+                        let run = gorder_engine::run_by_name_plan(name, &rg, &ctx, plan)
+                            .expect("grid kernels are engine kernels");
+                        stats = run.stats;
+                        run.checksum
                     },
                     cfg.reps,
                 );
                 cells.push(CellResult {
                     dataset: d.name.to_string(),
-                    algo: a.name().to_string(),
+                    algo: name.to_string(),
                     ordering: o.name().to_string(),
                     seconds: secs,
                     checksum,
@@ -181,22 +186,10 @@ pub fn run_grid(cfg: &GridConfig) -> Vec<CellResult> {
 pub fn run_grid_sim(cfg: &GridConfig) -> Vec<CellResult> {
     let orderings: Vec<Box<dyn OrderingAlgorithm>> =
         selected(cfg.ordering_pool(), &cfg.orderings, |o| o.name());
-    let algo_names: Vec<&'static str> = {
-        let mut all: Vec<&'static str> = gorder_cachesim::trace::TRACED_ALGOS.to_vec();
-        if cfg.extended {
-            all.extend(gorder_cachesim::trace::TRACED_EXTENSIONS);
-        }
-        match &cfg.algos {
-            None => all,
-            Some(keep) => all
-                .into_iter()
-                .filter(|a| keep.iter().any(|k| k == a))
-                .collect(),
-        }
-    };
+    let algo_names = grid_kernels(cfg.extended, &cfg.algos);
     let base = cfg.run_ctx();
     // Replays cost ~40× native, so trim the heavy iteration counts.
-    let tctx_base = TraceCtx {
+    let tctx_base = KernelCtx {
         source: None,
         pr_iterations: (base.pr_iterations / 5).max(2),
         damping: base.damping,
@@ -214,14 +207,14 @@ pub fn run_grid_sim(cfg: &GridConfig) -> Vec<CellResult> {
         for o in &orderings {
             let perm = ordered(o.as_ref(), &g);
             let rg = g.relabel(&perm);
-            let tctx = TraceCtx {
+            let tctx = KernelCtx {
                 source: Some(perm.apply(logical_source)),
                 ..tctx_base.clone()
             };
             for &name in &algo_names {
                 let mut tracer = Tracer::new(CacheHierarchy::new(&hconfig));
                 let (checksum, stats) = replay_with_stats(name, &rg, &mut tracer, &tctx)
-                    .expect("TRACED_ALGOS entries all have replayers");
+                    .expect("grid kernels are engine kernels");
                 let cycles = tracer.breakdown(&model).total();
                 cells.push(CellResult {
                     dataset: d.name.to_string(),

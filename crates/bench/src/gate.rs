@@ -27,10 +27,10 @@ use crate::fmt::Table;
 use crate::schema::GATE_DELTA_HEADER;
 use crate::stats::paired_stats;
 use crate::timing::time_once;
-use gorder_algos::{ExecPlan, KernelStats, RunCtx};
-use gorder_cachesim::trace::{replay_with_stats, TraceCtx};
+use gorder_cachesim::trace::replay_with_stats;
 use gorder_cachesim::{CacheHierarchy, HierarchyConfig, Tracer};
 use gorder_core::budget::Budget;
+use gorder_engine::{ExecPlan, KernelCtx, KernelStats};
 use gorder_graph::datasets;
 use gorder_obs::json::{parse_object, parse_string};
 use gorder_obs::{GateEvent, OrderEvent, RunManifest, TraceEvent, SCHEMA_VERSION};
@@ -93,7 +93,7 @@ pub struct GateConfig {
     /// Ordering names (resolved via the extended registry). Wall mode
     /// requires `"Original"` among them — it is the A side of every pair.
     pub orderings: Vec<String>,
-    /// Kernel names (sim: replayer names; wall: `gorder_algos` names).
+    /// Engine kernel names (any of the 13, in either mode).
     pub algos: Vec<String>,
     /// Wall mode: interleaved A/B sample pairs kept per cell.
     pub pairs: u32,
@@ -191,14 +191,8 @@ pub fn run_gate(cfg: &GateConfig) -> Result<GateReport, String> {
     for name in &cfg.orderings {
         cfg.ordering_named(name)?;
     }
-    for name in &cfg.algos {
-        let known = match cfg.mode {
-            GateMode::Sim => gorder_cachesim::trace::TRACED_ALGOS.contains(&name.as_str()),
-            GateMode::Wall => gorder_algos::by_name(name).is_some(),
-        };
-        if !known {
-            return Err(format!("unknown algorithm {name:?}"));
-        }
+    if let Some(name) = cfg.algos.iter().find(|a| !gorder_engine::is_kernel(a)) {
+        return Err(format!("unknown algorithm {name:?}"));
     }
     if cfg.mode == GateMode::Wall && !cfg.orderings.iter().any(|o| o == "Original") {
         return Err("wall mode needs \"Original\" among --orderings (it is the A side)".into());
@@ -264,7 +258,7 @@ fn sim_cells(
     let hconfig = HierarchyConfig::scaled_down();
     for (oname, perm) in layouts {
         let rg = g.relabel(perm);
-        let tctx = TraceCtx {
+        let tctx = KernelCtx {
             source: Some(perm.apply(logical_source)),
             pr_iterations: SIM_PR_ITERATIONS,
             damping: 0.85,
@@ -275,7 +269,7 @@ fn sim_cells(
             let mut tracer = Tracer::new(CacheHierarchy::new(&hconfig));
             tracer.enable_reuse_tracking();
             let (checksum, kstats) = replay_with_stats(algo, &rg, &mut tracer, &tctx)
-                .expect("algo names validated against TRACED_ALGOS");
+                .expect("algo names validated against the engine");
             let c = tracer.counters();
             cells.push(GateEvent {
                 mode: "sim".into(),
@@ -316,25 +310,28 @@ fn wall_cells(
         .expect("wall mode validated Original is present");
     let og = g.relabel(operm);
     let plan = ExecPlan::with_threads(1);
-    let base_ctx = RunCtx {
+    let base_ctx = KernelCtx {
         source: None,
         pr_iterations: WALL_PR_ITERATIONS,
         damping: 0.85,
         diameter_samples: WALL_DIAMETER_SAMPLES,
         seed: cfg.seed,
     };
-    let actx = RunCtx {
+    let actx = KernelCtx {
         source: Some(operm.apply(logical_source)),
         ..base_ctx.clone()
     };
     for (oname, perm) in layouts.iter().filter(|(n, _)| n != "Original") {
         let rg = g.relabel(perm);
-        let bctx = RunCtx {
+        let bctx = KernelCtx {
             source: Some(perm.apply(logical_source)),
             ..base_ctx.clone()
         };
         for algo in &cfg.algos {
-            let a = gorder_algos::by_name(algo).expect("algo names validated");
+            let run = |g: &gorder_graph::Graph, ctx: &KernelCtx| {
+                gorder_engine::run_by_name_plan(algo, g, ctx, plan)
+                    .expect("algo names validated against the engine")
+            };
             let mut t_orig = Vec::new();
             let mut t_ord = Vec::new();
             let mut checksum = 0u64;
@@ -342,10 +339,10 @@ fn wall_cells(
             for i in 0..cfg.warmup + cfg.pairs {
                 // Interleaved A then B: slow drift (thermal, neighbours)
                 // lands on both sides of every pair.
-                let (sa, _) = time_once(|| a.run_stats_plan(&og, &actx, plan));
-                let (sb, (cb, sb_stats)) = time_once(|| a.run_stats_plan(&rg, &bctx, plan));
-                checksum = cb;
-                kstats = sb_stats;
+                let (sa, _) = time_once(|| run(&og, &actx));
+                let (sb, b) = time_once(|| run(&rg, &bctx));
+                checksum = b.checksum;
+                kstats = b.stats;
                 if i >= cfg.warmup {
                     t_orig.push(sa);
                     t_ord.push(sb);

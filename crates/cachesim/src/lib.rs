@@ -23,14 +23,14 @@
 //!   the hierarchy's batches and pipelining them across two threads: L1
 //!   on the touching thread, the levels below on a worker, fed in batch
 //!   order, so the counters are the serial ones;
-//! * [`trace`] — one replayer per benchmark algorithm that performs the
-//!   real computation while feeding every data reference through the
-//!   hierarchy.
+//! * [`trace`] — a probe that runs any `gorder-engine` kernel through
+//!   the hierarchy: the real computation, with every data reference it
+//!   makes fed to the cache model.
 //!
-//! Because the replayers walk the same CSR arrays in the same order as
-//! `gorder-algos`, a node reordering changes the simulated address stream
-//! exactly as it would change the hardware one — which is all the paper's
-//! Tables 3–4 and Figure 1 measure.
+//! Because a replay *is* the engine kernel, walking the same CSR arrays
+//! in the same order as a wall-clock run, a node reordering changes the
+//! simulated address stream exactly as it would change the hardware one
+//! — which is all the paper's Tables 3–4 and Figure 1 measure.
 
 pub mod hierarchy;
 pub mod level;

@@ -1,38 +1,19 @@
-//! Per-algorithm memory-access replayers, driven by the engine.
+//! Memory-access replays of the engine's kernels.
 //!
-//! The nine paper kernels live in `gorder-engine`; this module plugs a
-//! [`TracerProbe`] into them, so the *same* kernel code that produces
-//! wall-clock numbers also drives the cache model — same loops, same
-//! tie-breaks, same checksum (the test suites assert checksum equality
-//! against `gorder-algos`, which wraps the identical kernels). CSR
-//! arrays and property arrays are laid out by the tracer's bump
-//! allocator exactly as consecutively allocated `Vec`s would be.
-//!
-//! The extension replayers (WCC, Tri, LP, BC — DESIGN.md §8) predate the
-//! engine and keep their hand-rolled form in the private `extension`
-//! submodule (re-exported here as [`wcc`], [`triangles`], [`labelprop`],
-//! [`betweenness`]).
+//! Every kernel — the paper's nine and the four extensions (WCC, Tri,
+//! LP, BC; DESIGN.md §8) — is defined once, in `gorder-engine`. This
+//! module plugs a [`TracerProbe`] into it, so the *same* kernel code that
+//! produces wall-clock numbers also drives the cache model: same loops,
+//! same tie-breaks, same checksum. CSR arrays and property arrays are
+//! laid out by the tracer's bump allocator exactly as consecutively
+//! allocated `Vec`s would be.
 //!
 //! Instruction fetch and stack spill traffic are not modelled; the paper's
 //! counters likewise focus on data cache (`L1-dcache-loads`, `LLC-loads`).
 
-mod extension;
-
-pub use extension::{betweenness, labelprop, triangles, wcc};
-
-/// Run parameters — the engine's context, shared with `gorder-algos`
-/// (which re-exports it as `RunCtx`). No longer duplicated per crate.
-pub use gorder_engine::KernelCtx as TraceCtx;
-
 use crate::tracer::{Tracer, VArray};
-use gorder_engine::{KernelStats, Probe, Slot};
-use gorder_graph::{Graph, NodeId};
-
-/// The algorithm labels with replayers, in paper order.
-pub const TRACED_ALGOS: [&str; 9] = ["NQ", "BFS", "DFS", "SCC", "SP", "PR", "DS", "Kcore", "Diam"];
-
-/// The extension algorithms with replayers (DESIGN.md §8).
-pub const TRACED_EXTENSIONS: [&str; 4] = ["WCC", "Tri", "LP", "BC"];
+use gorder_engine::{KernelCtx, KernelStats, Probe, Slot};
+use gorder_graph::Graph;
 
 /// An engine [`Probe`] that forwards every kernel memory access into a
 /// [`Tracer`]'s cache hierarchy.
@@ -78,133 +59,35 @@ impl Probe for TracerProbe<'_> {
     }
 }
 
-fn traced(name: &str, g: &Graph, t: &mut Tracer, ctx: &TraceCtx) -> u64 {
-    gorder_engine::run_probed(name, g, ctx, TracerProbe::new(t))
-        .unwrap_or_else(|| panic!("{name} is a registered engine kernel"))
-        .checksum
+/// Replays PR (power-iteration PageRank) through the cache model — the
+/// one kernel the figure binaries replay by itself.
+pub fn pagerank(g: &Graph, t: &mut Tracer, ctx: &KernelCtx) -> u64 {
+    replay("PR", g, t, ctx).expect("PR is an engine kernel")
 }
 
-/// Replays NQ (neighbour query) through the cache model.
-pub fn nq(g: &Graph, t: &mut Tracer) -> u64 {
-    traced("NQ", g, t, &TraceCtx::default())
-}
-
-/// Replays BFS through the cache model.
-pub fn bfs(g: &Graph, t: &mut Tracer, ctx: &TraceCtx) -> u64 {
-    traced("BFS", g, t, ctx)
-}
-
-/// Replays DFS through the cache model.
-pub fn dfs(g: &Graph, t: &mut Tracer, ctx: &TraceCtx) -> u64 {
-    traced("DFS", g, t, ctx)
-}
-
-/// Replays SCC (Tarjan) through the cache model.
-pub fn scc(g: &Graph, t: &mut Tracer) -> u64 {
-    traced("SCC", g, t, &TraceCtx::default())
-}
-
-/// Replays SP (round-based Bellman–Ford) through the cache model.
-pub fn sp(g: &Graph, t: &mut Tracer, ctx: &TraceCtx) -> u64 {
-    traced("SP", g, t, ctx)
-}
-
-/// Replays PR (power-iteration PageRank) through the cache model.
-pub fn pagerank(g: &Graph, t: &mut Tracer, ctx: &TraceCtx) -> u64 {
-    traced("PR", g, t, ctx)
-}
-
-/// Replays DS (greedy dominating set) through the cache model.
-pub fn ds(g: &Graph, t: &mut Tracer) -> u64 {
-    traced("DS", g, t, &TraceCtx::default())
-}
-
-/// Replays Kcore (bucket-queue peeling) through the cache model.
-pub fn kcore(g: &Graph, t: &mut Tracer) -> u64 {
-    traced("Kcore", g, t, &TraceCtx::default())
-}
-
-/// Replays Diam (sampled eccentricities) through the cache model.
-pub fn diam(g: &Graph, t: &mut Tracer, ctx: &TraceCtx) -> u64 {
-    traced("Diam", g, t, ctx)
-}
-
-/// Dispatches a replayer by its paper label, returning the checksum and
-/// the engine's per-kernel statistics. Extension replayers are not
-/// engine kernels and report [`KernelStats::default`]. Returns `None`
-/// for an unknown label.
+/// Replays the engine kernel labelled `name` (case-insensitive, any of
+/// the 13) through the cache model, returning the checksum and the
+/// kernel's statistics, or `None` for an unknown label.
 pub fn replay_with_stats(
     name: &str,
     g: &Graph,
     t: &mut Tracer,
-    ctx: &TraceCtx,
+    ctx: &KernelCtx,
 ) -> Option<(u64, KernelStats)> {
-    if gorder_engine::is_kernel(name) {
-        let run = gorder_engine::run_probed(name, g, ctx, TracerProbe::new(t))?;
-        return Some((run.checksum, run.stats));
-    }
-    let checksum = match name {
-        "WCC" => wcc(g, t),
-        "Tri" => triangles(g, t),
-        "LP" => labelprop(g, t),
-        "BC" => betweenness(g, t, ctx),
-        _ => return None,
-    };
-    Some((checksum, KernelStats::default()))
+    let run = gorder_engine::run_probed(name, g, ctx, TracerProbe::new(t))?;
+    Some((run.checksum, run.stats))
 }
 
-/// Dispatches a replayer by its paper label. Returns the checksum, or
-/// `None` for an unknown label.
-pub fn replay(name: &str, g: &Graph, t: &mut Tracer, ctx: &TraceCtx) -> Option<u64> {
+/// [`replay_with_stats`] without the statistics.
+pub fn replay(name: &str, g: &Graph, t: &mut Tracer, ctx: &KernelCtx) -> Option<u64> {
     replay_with_stats(name, g, t, ctx).map(|(checksum, _)| checksum)
-}
-
-/// The four CSR arrays of a graph, allocated in the tracer's address
-/// space. Offsets are `u64` (8 B), targets `u32` (4 B), matching
-/// `gorder_graph::Graph`'s real layout. Used by the hand-rolled
-/// extension replayers; the nine paper kernels get the equivalent via
-/// `gorder_engine::GraphSlots` + [`TracerProbe`].
-pub(crate) struct GraphArrays {
-    pub out_off: VArray,
-    pub out_tgt: VArray,
-    pub in_off: VArray,
-    pub in_tgt: VArray,
-}
-
-impl GraphArrays {
-    pub fn new(t: &mut Tracer, g: &Graph) -> Self {
-        let n = g.n() as usize;
-        let m = g.m() as usize;
-        GraphArrays {
-            out_off: t.alloc(n + 1, 8),
-            out_tgt: t.alloc(m, 4),
-            in_off: t.alloc(n + 1, 8),
-            in_tgt: t.alloc(m, 4),
-        }
-    }
-
-    /// Touches the offset pair bounding `u`'s out-list and returns the
-    /// list plus its global CSR base index.
-    pub fn out_list<'g>(&self, t: &mut Tracer, g: &'g Graph, u: NodeId) -> (&'g [NodeId], usize) {
-        t.touch(&self.out_off, u as usize);
-        t.touch(&self.out_off, u as usize + 1);
-        let (off, _) = g.out_csr();
-        (g.out_neighbors(u), off[u as usize] as usize)
-    }
-
-    /// Same for the in-list.
-    pub fn in_list<'g>(&self, t: &mut Tracer, g: &'g Graph, u: NodeId) -> (&'g [NodeId], usize) {
-        t.touch(&self.in_off, u as usize);
-        t.touch(&self.in_off, u as usize + 1);
-        let (off, _) = g.in_csr();
-        (g.in_neighbors(u), off[u as usize] as usize)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hierarchy::CacheHierarchy;
+    use gorder_graph::NodeId;
 
     fn tracer() -> Tracer {
         Tracer::new(CacheHierarchy::xeon_e5())
@@ -286,7 +169,7 @@ mod tests {
             })
             .collect();
         let g = Graph::from_edges(3000, &edges);
-        let ctx = TraceCtx {
+        let ctx = KernelCtx {
             pr_iterations: 3,
             ..Default::default()
         };
@@ -325,22 +208,23 @@ mod tests {
     #[test]
     fn replay_dispatches_extensions() {
         let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 0), (3, 4)]);
-        let ctx = TraceCtx::default();
-        for name in TRACED_EXTENSIONS {
+        let ctx = KernelCtx::default();
+        for name in gorder_engine::EXTENSION_KERNELS {
             let mut t = tracer();
             assert!(replay(name, &g, &mut t, &ctx).is_some(), "{name}");
+            assert!(t.stats().l1_refs > 0, "{name} produced no references");
         }
     }
 
     #[test]
     fn replay_dispatches_all_nine() {
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (0, 3)]);
-        let ctx = TraceCtx {
+        let ctx = KernelCtx {
             pr_iterations: 3,
             diameter_samples: 2,
             ..Default::default()
         };
-        for name in TRACED_ALGOS {
+        for name in gorder_engine::kernel_names() {
             let mut t = tracer();
             assert!(replay(name, &g, &mut t, &ctx).is_some(), "{name}");
             assert!(t.stats().l1_refs > 0, "{name} produced no references");
@@ -352,29 +236,29 @@ mod tests {
     #[test]
     fn replay_with_stats_reports_engine_counters() {
         let g = g();
-        let ctx = TraceCtx {
+        let ctx = KernelCtx {
             pr_iterations: 3,
             diameter_samples: 2,
             ..Default::default()
         };
-        for name in TRACED_ALGOS {
+        let names = gorder_engine::kernel_names();
+        for name in names.into_iter().chain(gorder_engine::EXTENSION_KERNELS) {
             let mut t = tracer();
             let (_, stats) = replay_with_stats(name, &g, &mut t, &ctx).unwrap();
             assert!(stats.iterations > 0, "{name} reported no iterations");
+            assert!(stats.edges_relaxed > 0, "{name} relaxed no edges");
+            assert_eq!(stats.threads_used, 1, "{name} traces serially");
         }
-        // extensions dispatch but carry default stats
-        let mut t = tracer();
-        let (_, stats) = replay_with_stats("WCC", &g, &mut t, &ctx).unwrap();
-        assert_eq!(stats.iterations, 0);
     }
 
     #[test]
     fn empty_graph_replays() {
         let g = Graph::empty(0);
-        let ctx = TraceCtx::default();
-        for name in TRACED_ALGOS {
+        let ctx = KernelCtx::default();
+        let names = gorder_engine::kernel_names();
+        for name in names.into_iter().chain(gorder_engine::EXTENSION_KERNELS) {
             let mut t = tracer();
-            replay(name, &g, &mut t, &ctx);
+            assert!(replay(name, &g, &mut t, &ctx).is_some(), "{name}");
         }
     }
 
@@ -391,31 +275,34 @@ mod tests {
             })
             .sum();
         let mut t = tracer();
-        assert_eq!(nq(&gg, &mut t), expected);
+        assert_eq!(
+            replay("NQ", &gg, &mut t, &KernelCtx::default()).unwrap(),
+            expected
+        );
     }
 
     #[test]
     fn bfs_checksum_path() {
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let mut t = tracer();
-        let ctx = TraceCtx {
+        let ctx = KernelCtx {
             source: Some(0),
             ..Default::default()
         };
         // primary_reached = 4, depths sum = 0+1+2+3 = 6 → 10
-        assert_eq!(bfs(&g, &mut t, &ctx), 10);
+        assert_eq!(replay("BFS", &g, &mut t, &ctx).unwrap(), 10);
     }
 
     #[test]
     fn dfs_checksum_matches_formula() {
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let mut t = tracer();
-        let ctx = TraceCtx {
+        let ctx = KernelCtx {
             source: Some(0),
             ..Default::default()
         };
         let expected = 4u64.wrapping_mul(0x9E3779B97F4A7C15) ^ 3;
-        assert_eq!(dfs(&g, &mut t, &ctx), expected);
+        assert_eq!(replay("DFS", &g, &mut t, &ctx).unwrap(), expected);
     }
 
     #[test]
@@ -423,15 +310,18 @@ mod tests {
         // 3-cycle + 2-cycle: count 2, Σ size² = 9 + 4 → 15
         let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 3)]);
         let mut t = tracer();
-        assert_eq!(scc(&g, &mut t), 15);
+        assert_eq!(
+            replay("SCC", &g, &mut t, &KernelCtx::default()).unwrap(),
+            15
+        );
     }
 
     #[test]
     fn traversals_touch_every_edge() {
         let g = Graph::from_edges(5, &[(0, 1), (0, 2), (1, 3), (3, 4), (2, 4)]);
-        let ctx = TraceCtx::default();
+        let ctx = KernelCtx::default();
         let mut t = tracer();
-        bfs(&g, &mut t, &ctx);
+        replay("BFS", &g, &mut t, &ctx).unwrap();
         // at least one target read per edge
         assert!(t.stats().l1_refs >= g.m());
     }
@@ -440,12 +330,12 @@ mod tests {
     fn sp_eccentricity_path() {
         let gg = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let mut t = tracer();
-        let ctx = TraceCtx {
+        let ctx = KernelCtx {
             source: Some(0),
             ..Default::default()
         };
         // Σ (dist + 1) = (0+1)+(1+1)+(2+1)+(3+1) = 10
-        assert_eq!(sp(&gg, &mut t, &ctx), 10);
+        assert_eq!(replay("SP", &gg, &mut t, &ctx).unwrap(), 10);
     }
 
     #[test]
@@ -453,17 +343,17 @@ mod tests {
         let edges: Vec<(NodeId, NodeId)> = (0..8u32).map(|u| (u, (u + 1) % 8)).collect();
         let gg = Graph::from_edges(8, &edges);
         let mut t = tracer();
-        let ctx = TraceCtx {
+        let ctx = KernelCtx {
             diameter_samples: 3,
             ..Default::default()
         };
-        assert_eq!(diam(&gg, &mut t, &ctx), 7);
+        assert_eq!(replay("Diam", &gg, &mut t, &ctx).unwrap(), 7);
     }
 
     #[test]
     fn pagerank_mass_checksum() {
         let mut t = tracer();
-        let ctx = TraceCtx {
+        let ctx = KernelCtx {
             pr_iterations: 20,
             ..Default::default()
         };
@@ -479,7 +369,7 @@ mod tests {
         pagerank(
             &gg,
             &mut t1,
-            &TraceCtx {
+            &KernelCtx {
                 pr_iterations: 1,
                 ..Default::default()
             },
@@ -488,7 +378,7 @@ mod tests {
         pagerank(
             &gg,
             &mut t10,
-            &TraceCtx {
+            &KernelCtx {
                 pr_iterations: 10,
                 ..Default::default()
             },
@@ -500,14 +390,14 @@ mod tests {
     fn ds_star_is_one() {
         let g = Graph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
         let mut t = tracer();
-        assert_eq!(ds(&g, &mut t), 1);
+        assert_eq!(replay("DS", &g, &mut t, &KernelCtx::default()).unwrap(), 1);
     }
 
     #[test]
     fn ds_isolated_count() {
         let g = Graph::empty(4);
         let mut t = tracer();
-        assert_eq!(ds(&g, &mut t), 4);
+        assert_eq!(replay("DS", &g, &mut t, &KernelCtx::default()).unwrap(), 4);
     }
 
     #[test]
@@ -515,12 +405,18 @@ mod tests {
         // all three nodes have core 2 → Σ core² = 12
         let g = Graph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
         let mut t = tracer();
-        assert_eq!(kcore(&g, &mut t), 12);
+        assert_eq!(
+            replay("Kcore", &g, &mut t, &KernelCtx::default()).unwrap(),
+            12
+        );
     }
 
     #[test]
     fn kcore_empty() {
         let mut t = tracer();
-        assert_eq!(kcore(&Graph::empty(0), &mut t), 0);
+        assert_eq!(
+            replay("Kcore", &Graph::empty(0), &mut t, &KernelCtx::default()).unwrap(),
+            0
+        );
     }
 }

@@ -17,11 +17,11 @@
 //! Formats are chosen by extension: `.mtx` Matrix Market, `.bin` the
 //! compact binary format, anything else a whitespace edge list.
 
-use gorder_algos::{ExecPlan, KernelStats, RunCtx};
-use gorder_cachesim::trace::{replay_with_stats, TraceCtx};
+use gorder_cachesim::trace::replay_with_stats;
 use gorder_cachesim::{CacheHierarchy, HierarchyConfig, StallModel, Tracer};
 use gorder_core::budget::{Budget, DegradeReason, ExecOutcome};
 use gorder_core::GorderBuilder;
+use gorder_engine::{ExecPlan, KernelCtx, KernelStats, NoProbe};
 use gorder_graph::io::GraphIoError;
 use gorder_graph::stats::{degree_gini, GraphStats};
 use gorder_graph::Permutation;
@@ -280,7 +280,9 @@ pub fn ordering_names() -> Vec<&'static str> {
 
 /// Names of every algorithm the CLI accepts.
 pub fn algorithm_names() -> Vec<&'static str> {
-    gorder_algos::extended().iter().map(|a| a.name()).collect()
+    let mut names = gorder_engine::kernel_names();
+    names.extend(gorder_engine::EXTENSION_KERNELS);
+    names
 }
 
 /// `stats` subcommand: one human-readable block.
@@ -488,38 +490,31 @@ pub fn run_algorithm_budgeted(
     timeout: Option<Duration>,
     threads: u32,
 ) -> Result<CmdOutput, CliError> {
-    let a = gorder_algos::by_name(algo).ok_or_else(|| {
-        CliError::Usage(format!(
-            "unknown algorithm {algo:?}; known: {:?}",
-            algorithm_names()
-        ))
-    })?;
+    let name = gorder_engine::by_name::<NoProbe>(algo)
+        .map(|k| k.name())
+        .ok_or_else(|| {
+            CliError::Usage(format!(
+                "unknown algorithm {algo:?}; known: {:?}",
+                algorithm_names()
+            ))
+        })?;
     let (graph, note, degraded) = ordered_graph(g, ordering, window, seed, timeout)?;
-    let ctx = RunCtx {
+    let ctx = KernelCtx {
         seed,
         ..Default::default()
     };
     let t = std::time::Instant::now();
-    let (checksum, stats) = a.run_stats_plan(&graph, &ctx, ExecPlan::with_threads(threads));
+    let run = gorder_engine::run_by_name_plan(name, &graph, &ctx, ExecPlan::with_threads(threads))
+        .expect("resolved above");
+    let (checksum, stats) = (run.checksum, run.stats);
     let seconds = t.elapsed().as_secs_f64();
     Ok(CmdOutput {
         report: format!("{algo} over {note}: checksum {checksum:#x} in {seconds:.3}s"),
         checksum,
         degraded,
-        stats_json: Some(stats_json_line(
-            a.name(),
-            ordering,
-            checksum,
-            seconds,
-            &stats,
-        )),
+        stats_json: Some(stats_json_line(name, ordering, checksum, seconds, &stats)),
         trace_events: vec![kernel_trace_event(
-            a.name(),
-            ordering,
-            checksum,
-            seconds,
-            threads,
-            &stats,
+            name, ordering, checksum, seconds, threads, &stats,
         )],
     })
 }
@@ -549,7 +544,7 @@ pub fn simulate_algorithm_budgeted(
     timeout: Option<Duration>,
 ) -> Result<CmdOutput, CliError> {
     let (graph, note, degraded) = ordered_graph(g, ordering, window, seed, timeout)?;
-    let ctx = TraceCtx {
+    let ctx = KernelCtx {
         pr_iterations: 5,
         diameter_samples: 4,
         seed,
@@ -783,8 +778,32 @@ mod tests {
 
         let out = simulate_algorithm_budgeted(&g, "WCC", None, 5, 1, None).unwrap();
         let obj = parse_json_object(&out.stats_json.unwrap()).unwrap();
-        assert_eq!(obj["engine"], "false");
-        assert_eq!(obj["iterations"], "0");
+        assert_eq!(obj["engine"], "true");
+        // one iterate per component (one here) plus the final root scan
+        assert_eq!(obj["iterations"], "2");
+        assert_eq!(obj["edges_relaxed"], (2 * g.m()).to_string());
+    }
+
+    #[test]
+    fn all_thirteen_kernels_resolve_case_insensitively() {
+        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (0, 3)]);
+        let names = algorithm_names();
+        assert_eq!(names.len(), 13);
+        for name in names {
+            for spelling in [name.to_lowercase(), name.to_uppercase()] {
+                let run = run_algorithm_budgeted(&g, &spelling, None, 5, 1, None, 1)
+                    .unwrap_or_else(|e| panic!("run {spelling}: {e}"));
+                let obj = parse_json_object(&run.stats_json.unwrap()).unwrap();
+                assert_eq!(obj["algo"], format!("\"{name}\""), "run {spelling}");
+                let sim = simulate_algorithm_budgeted(&g, &spelling, None, 5, 1, None)
+                    .unwrap_or_else(|e| panic!("simulate {spelling}: {e}"));
+                let obj = parse_json_object(&sim.stats_json.unwrap()).unwrap();
+                assert_ne!(obj["iterations"], "0", "simulate {spelling}");
+            }
+        }
+        let out = run_algorithm_budgeted(&g, "WCC", None, 5, 1, None, 1).unwrap();
+        let obj = parse_json_object(&out.stats_json.unwrap()).unwrap();
+        assert_ne!(obj["iterations"], "0", "WCC reports its engine iterations");
     }
 
     #[test]

@@ -10,8 +10,7 @@
 
 use crate::mem::{BufferPool, Frontier, GraphSlots, Probe, Slot};
 use crate::partition::split_even;
-use crate::{parallel, Exec, ExecPlan, Kernel, KernelCtx, NoProbe};
-use gorder_core::budget::Budget;
+use crate::{parallel, Exec, ExecPlan, Kernel, KernelCtx};
 use gorder_graph::{Graph, NodeId};
 
 /// Result of a full-coverage BFS.
@@ -236,9 +235,7 @@ pub fn bfs_with_plan(g: &Graph, source: NodeId, plan: ExecPlan) -> BfsResult {
         source: Some(source),
         ..Default::default()
     };
-    let mut pool = BufferPool::new();
-    let mut ex = Exec::with_plan(NoProbe, &mut pool, plan);
-    let _ = crate::run_kernel(&mut kernel, g, &ctx, &mut ex, &Budget::unlimited());
+    crate::run_unprobed(&mut kernel, g, &ctx, plan);
     kernel.into_result()
 }
 
@@ -322,5 +319,25 @@ mod tests {
         assert_eq!(run.stats.edges_relaxed, g.m());
         assert_eq!(run.stats.frontier_pushes, 4);
         assert_eq!(run.stats.frontier_peak, 2); // level {1, 2}
+    }
+
+    #[test]
+    fn lexicographic_neighbor_order() {
+        let g = Graph::from_edges(4, &[(0, 3), (0, 1), (0, 2)]);
+        assert_eq!(bfs(&g, 0).order, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn source_respected() {
+        let g = Graph::from_edges(3, &[(2, 0), (0, 1)]);
+        let r = bfs(&g, 2);
+        assert_eq!(r.depth, vec![1, 2, 0]);
+        assert_eq!(r.primary_reached, 3);
+    }
+
+    #[test]
+    fn empty_graph_checksum_is_zero() {
+        let run = crate::run_by_name("BFS", &Graph::empty(0), &KernelCtx::default()).unwrap();
+        assert_eq!(run.checksum, 0);
     }
 }

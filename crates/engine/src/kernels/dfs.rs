@@ -6,8 +6,7 @@
 //! complete DFS tree.
 
 use crate::mem::{BufferPool, GraphSlots, Probe, Slot};
-use crate::{Exec, Kernel, KernelCtx, NoProbe};
-use gorder_core::budget::Budget;
+use crate::{Exec, ExecPlan, Kernel, KernelCtx};
 use gorder_graph::{Graph, NodeId};
 
 /// Result of a full-coverage DFS.
@@ -176,9 +175,7 @@ pub fn dfs(g: &Graph, source: NodeId) -> DfsResult {
         source: Some(source),
         ..Default::default()
     };
-    let mut pool = BufferPool::new();
-    let mut ex = Exec::new(NoProbe, &mut pool);
-    let _ = crate::run_kernel(&mut kernel, g, &ctx, &mut ex, &Budget::unlimited());
+    crate::run_unprobed(&mut kernel, g, &ctx, ExecPlan::Serial);
     kernel.into_result()
 }
 
@@ -210,5 +207,33 @@ mod tests {
         for (i, &u) in r.preorder.iter().enumerate() {
             assert_eq!(r.discovery[u as usize], i as u32);
         }
+    }
+
+    #[test]
+    fn deep_path_does_not_overflow_stack() {
+        let n = 200_000u32;
+        let edges: Vec<(NodeId, NodeId)> = (0..n - 1).map(|u| (u, u + 1)).collect();
+        let r = dfs(&Graph::from_edges(n, &edges), 0);
+        assert_eq!(r.preorder.len(), n as usize);
+        assert_eq!(r.tree_edges, n - 1);
+    }
+
+    #[test]
+    fn back_edges_are_not_tree_edges() {
+        let g = Graph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
+        assert_eq!(dfs(&g, 0).tree_edges, 2);
+    }
+
+    #[test]
+    fn lexicographic_child_order() {
+        let g = Graph::from_edges(4, &[(0, 2), (0, 1), (2, 3)]);
+        // child 1 before child 2 despite insertion order
+        assert_eq!(dfs(&g, 0).preorder, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn empty_graph_checksum_is_zero() {
+        let run = crate::run_by_name("DFS", &Graph::empty(0), &KernelCtx::default()).unwrap();
+        assert_eq!(run.checksum, 0);
     }
 }

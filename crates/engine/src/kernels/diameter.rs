@@ -10,7 +10,6 @@
 use crate::kernels::sp::{relax_round, UNREACHABLE};
 use crate::mem::{BufferPool, GraphSlots, NoProbe, Probe, Slot};
 use crate::{parallel, Exec, ExecPlan, Kernel, KernelCtx};
-use gorder_core::budget::Budget;
 use gorder_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -193,24 +192,14 @@ pub fn diameter_with_plan(g: &Graph, samples: u32, seed: u64, plan: ExecPlan) ->
         seed,
         ..Default::default()
     };
-    let mut pool = BufferPool::new();
-    let mut ex = Exec::with_plan(NoProbe, &mut pool, plan);
-    let _ = crate::run_kernel(&mut kernel, g, &ctx, &mut ex, &Budget::unlimited());
+    crate::run_unprobed(&mut kernel, g, &ctx, plan);
     kernel.into_result()
 }
 
 /// Diameter lower bound sweeping exactly the given sources.
 pub fn diameter_from_sources(g: &Graph, sources: &[NodeId]) -> DiameterResult {
     let mut kernel = DiamKernel::with_sources(sources.to_vec());
-    let mut pool = BufferPool::new();
-    let mut ex = Exec::new(NoProbe, &mut pool);
-    let _ = crate::run_kernel(
-        &mut kernel,
-        g,
-        &KernelCtx::default(),
-        &mut ex,
-        &Budget::unlimited(),
-    );
+    crate::run_unprobed(&mut kernel, g, &KernelCtx::default(), ExecPlan::Serial);
     kernel.into_result()
 }
 
@@ -271,5 +260,22 @@ mod tests {
             let par = diameter_with_plan(&g, 5, 3, ExecPlan::with_threads(4));
             assert_eq!(serial, par);
         }
+    }
+
+    #[test]
+    fn interior_source_gives_a_smaller_bound() {
+        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
+        assert_eq!(diameter_from_sources(&g, &[2]).lower_bound, 2);
+    }
+
+    #[test]
+    fn one_iteration_per_source() {
+        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+        let ctx = KernelCtx {
+            diameter_samples: 3,
+            ..Default::default()
+        };
+        let run = crate::run_by_name("Diam", &g, &ctx).unwrap();
+        assert_eq!(run.stats.iterations, 3);
     }
 }

@@ -12,8 +12,7 @@
 use crate::mem::{
     probe_heap_pop, probe_heap_push, BufferPool, DenseBitset, GraphSlots, Probe, Slot,
 };
-use crate::{Exec, Kernel, KernelCtx, NoProbe};
-use gorder_core::budget::Budget;
+use crate::{Exec, ExecPlan, Kernel, KernelCtx};
 use gorder_graph::{Graph, NodeId};
 use std::collections::BinaryHeap;
 
@@ -200,15 +199,7 @@ impl<P: Probe> Kernel<P> for DsKernel {
 /// Runs the greedy dominating-set algorithm.
 pub fn dominating_set(g: &Graph) -> DomSetResult {
     let mut kernel = DsKernel::new();
-    let mut pool = BufferPool::new();
-    let mut ex = Exec::new(NoProbe, &mut pool);
-    let _ = crate::run_kernel(
-        &mut kernel,
-        g,
-        &KernelCtx::default(),
-        &mut ex,
-        &Budget::unlimited(),
-    );
+    crate::run_unprobed(&mut kernel, g, &KernelCtx::default(), ExecPlan::Serial);
     kernel.into_result()
 }
 
@@ -241,5 +232,60 @@ mod tests {
     #[test]
     fn empty() {
         assert_eq!(dominating_set(&Graph::empty(0)).size(), 0);
+    }
+
+    fn assert_dominating(g: &Graph, r: &DomSetResult) {
+        let mut covered = vec![false; g.n() as usize];
+        for &u in &r.set {
+            covered[u as usize] = true;
+            for &v in g.out_neighbors(u) {
+                covered[v as usize] = true;
+            }
+        }
+        for u in g.nodes() {
+            assert!(covered[u as usize], "node {u} not dominated");
+        }
+    }
+
+    #[test]
+    fn path_greedy_is_valid() {
+        let edges: Vec<(NodeId, NodeId)> = (0..9).map(|u| (u, u + 1)).collect();
+        let g = Graph::from_edges(10, &edges);
+        let r = dominating_set(&g);
+        assert_dominating(&g, &r);
+        assert!(r.size() <= 5, "greedy on a 10-path: {}", r.size());
+    }
+
+    #[test]
+    fn covered_by_points_at_selector() {
+        let g = Graph::from_edges(4, &[(0, 1), (2, 3)]);
+        let r = dominating_set(&g);
+        assert_dominating(&g, &r);
+        for u in g.nodes() {
+            let c = r.covered_by[u as usize];
+            assert!(
+                c == u || g.has_edge(c, u),
+                "covered_by[{u}] = {c} neither self nor in-neighbor"
+            );
+            assert!(r.set.contains(&c));
+        }
+    }
+
+    #[test]
+    fn greedy_picks_max_gain_first() {
+        // hub 0 covers 4 nodes; chain nodes cover 2 each
+        let g = Graph::from_edges(7, &[(0, 1), (0, 2), (0, 3), (4, 5), (5, 6)]);
+        let r = dominating_set(&g);
+        assert_eq!(r.set[0], 0, "hub first");
+        assert_dominating(&g, &r);
+    }
+
+    #[test]
+    fn dense_graph_small_set() {
+        // complete bidirected graph on 8 nodes: one node suffices
+        let edges: Vec<(NodeId, NodeId)> = (0..8u32)
+            .flat_map(|u| (0..8u32).filter(move |&v| v != u).map(move |v| (u, v)))
+            .collect();
+        assert_eq!(dominating_set(&Graph::from_edges(8, &edges)).size(), 1);
     }
 }

@@ -9,8 +9,7 @@
 
 use crate::mem::{BufferPool, GraphSlots, Probe, Slot};
 use crate::partition::partition_rows;
-use crate::{parallel, Exec, ExecPlan, Kernel, KernelCtx, NoProbe};
-use gorder_core::budget::Budget;
+use crate::{parallel, Exec, ExecPlan, Kernel, KernelCtx};
 use gorder_graph::Graph;
 
 /// Result of a core decomposition.
@@ -253,15 +252,7 @@ pub fn kcore(g: &Graph) -> KcoreResult {
 /// to the serial run for every plan (only the degree init parallelises).
 pub fn kcore_with_plan(g: &Graph, plan: ExecPlan) -> KcoreResult {
     let mut kernel = KcoreKernel::new();
-    let mut pool = BufferPool::new();
-    let mut ex = Exec::with_plan(NoProbe, &mut pool, plan);
-    let _ = crate::run_kernel(
-        &mut kernel,
-        g,
-        &KernelCtx::default(),
-        &mut ex,
-        &Budget::unlimited(),
-    );
+    crate::run_unprobed(&mut kernel, g, &KernelCtx::default(), plan);
     kernel.into_result()
 }
 
@@ -311,5 +302,70 @@ mod tests {
         for g in [Graph::empty(0), Graph::empty(1), Graph::empty(9)] {
             assert_eq!(kcore(&g), kcore_with_plan(&g, ExecPlan::with_threads(4)));
         }
+    }
+
+    /// Reference: naive repeated minimum-degree removal.
+    fn naive_kcore(g: &Graph) -> Vec<u32> {
+        let n = g.n() as usize;
+        let mut alive = vec![true; n];
+        let mut deg: Vec<u32> = g.nodes().map(|u| g.degree(u)).collect();
+        let mut core = vec![0u32; n];
+        let mut level = 0u32;
+        for _ in 0..n {
+            let u = (0..n)
+                .filter(|&u| alive[u])
+                .min_by_key(|&u| deg[u])
+                .unwrap();
+            level = level.max(deg[u]);
+            core[u] = level;
+            alive[u] = false;
+            let u = u as gorder_graph::NodeId;
+            for &v in g.out_neighbors(u).iter().chain(g.in_neighbors(u)) {
+                if alive[v as usize] {
+                    deg[v as usize] -= 1;
+                }
+            }
+        }
+        core
+    }
+
+    fn pa(n: u32, seed: u64) -> Graph {
+        use gorder_graph::gen::{preferential_attachment, PrefAttachConfig};
+        preferential_attachment(PrefAttachConfig {
+            n,
+            out_degree: 4,
+            reciprocity: 0.3,
+            uniform_mix: 0.2,
+            closure_prob: 0.3,
+            recency_bias: 0.3,
+            seed,
+        })
+    }
+
+    #[test]
+    fn matches_naive_on_random_graphs() {
+        for seed in 0..5 {
+            let g = pa(120, seed);
+            assert_eq!(kcore(&g).core, naive_kcore(&g), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn core_numbers_map_through_relabel() {
+        let g = pa(150, 7);
+        let perm = gorder_graph::Permutation::try_new((0..150).rev().collect()).unwrap();
+        let (cg, ch) = (kcore(&g).core, kcore(&g.relabel(&perm)).core);
+        for u in 0..150u32 {
+            assert_eq!(cg[u as usize], ch[perm.apply(u) as usize]);
+        }
+    }
+
+    #[test]
+    fn isolated_nodes_are_zero_core() {
+        let r = kcore(&Graph::from_edges(5, &[(0, 1), (1, 0)]));
+        assert_eq!(r.core[2], 0);
+        assert_eq!(r.core[3], 0);
+        // the bidirected pair has multigraph degree 2 each
+        assert_eq!(r.core[0], 2);
     }
 }

@@ -8,8 +8,7 @@
 //! cache lines of the degree array.
 
 use crate::mem::{BufferPool, GraphSlots, Probe, Slot};
-use crate::{Exec, Kernel, KernelCtx, NoProbe};
-use gorder_core::budget::Budget;
+use crate::{Exec, ExecPlan, Kernel, KernelCtx};
 use gorder_graph::Graph;
 
 /// NQ as an engine kernel: `init` materialises the degree array, one
@@ -110,15 +109,7 @@ impl<P: Probe> Kernel<P> for NqKernel {
 /// Computes `q_u = Σ_{v ∈ out(u)} out_degree(v)` for every node.
 pub fn neighbor_query(g: &Graph) -> Vec<u64> {
     let mut kernel = NqKernel::new();
-    let mut pool = BufferPool::new();
-    let mut ex = Exec::new(NoProbe, &mut pool);
-    let _ = crate::run_kernel(
-        &mut kernel,
-        g,
-        &KernelCtx::default(),
-        &mut ex,
-        &Budget::unlimited(),
-    );
+    crate::run_unprobed(&mut kernel, g, &KernelCtx::default(), ExecPlan::Serial);
     kernel.into_result()
 }
 
@@ -137,5 +128,16 @@ mod tests {
     fn empty_graph() {
         assert!(neighbor_query(&Graph::empty(0)).is_empty());
         assert_eq!(neighbor_query(&Graph::empty(3)), vec![0, 0, 0]);
+    }
+
+    #[test]
+    fn per_node_values_map_through_permutation() {
+        let g = Graph::from_edges(3, &[(0, 1), (0, 2), (1, 2)]);
+        let perm = gorder_graph::Permutation::try_new(vec![1, 2, 0]).unwrap();
+        let q0 = neighbor_query(&g);
+        let q1 = neighbor_query(&g.relabel(&perm));
+        for u in 0..3u32 {
+            assert_eq!(q0[u as usize], q1[perm.apply(u) as usize]);
+        }
     }
 }

@@ -17,8 +17,7 @@
 
 use crate::mem::{BufferPool, GraphSlots, Probe, Slot};
 use crate::partition::{partition_offsets, RowRange};
-use crate::{parallel, Exec, ExecPlan, Kernel, KernelCtx, NoProbe};
-use gorder_core::budget::Budget;
+use crate::{parallel, Exec, ExecPlan, Kernel, KernelCtx};
 use gorder_graph::Graph;
 
 /// Result of a PageRank run.
@@ -245,9 +244,7 @@ pub fn pagerank_with_plan(
         damping: alpha,
         ..Default::default()
     };
-    let mut pool = BufferPool::new();
-    let mut ex = Exec::with_plan(NoProbe, &mut pool, plan);
-    let _ = crate::run_kernel(&mut kernel, g, &ctx, &mut ex, &Budget::unlimited());
+    crate::run_unprobed(&mut kernel, g, &ctx, plan);
     kernel.into_result()
 }
 
@@ -334,5 +331,42 @@ mod tests {
             let par = pagerank_with_plan(&g, 5, 0.85, ExecPlan::with_threads(4));
             assert_eq!(serial, par);
         }
+    }
+
+    #[test]
+    fn symmetric_cycle_is_uniform() {
+        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
+        for &x in &pagerank(&g, 100, 0.85).rank {
+            assert!((x - 0.25).abs() < 1e-9, "rank = {x}");
+        }
+    }
+
+    #[test]
+    fn dangling_mass_redistributed() {
+        // 0 -> 1, 1 is dangling; without redistribution the total decays.
+        let r = pagerank(&Graph::from_edges(2, &[(0, 1)]), 100, 0.85);
+        let total: f64 = r.rank.iter().sum();
+        assert!((total - 1.0).abs() < 1e-9);
+        assert!(r.rank[1] > r.rank[0], "sink accumulates rank");
+    }
+
+    #[test]
+    fn alpha_zero_gives_uniform() {
+        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (3, 2)]);
+        for &x in &pagerank(&g, 20, 0.0).rank {
+            assert!((x - 0.25).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn stats_count_one_iteration_per_round() {
+        let g = Graph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]);
+        let ctx = KernelCtx {
+            pr_iterations: 7,
+            ..Default::default()
+        };
+        let run = crate::run_by_name("PR", &g, &ctx).unwrap();
+        assert_eq!(run.stats.iterations, 7);
+        assert_eq!(run.stats.edges_relaxed, 7 * g.m());
     }
 }

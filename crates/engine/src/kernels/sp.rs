@@ -11,8 +11,7 @@
 //! count).
 
 use crate::mem::{BufferPool, GraphSlots, Probe, Slot};
-use crate::{Exec, Kernel, KernelCtx, NoProbe};
-use gorder_core::budget::Budget;
+use crate::{Exec, ExecPlan, Kernel, KernelCtx};
 use gorder_graph::{Graph, NodeId};
 
 /// Distance value for unreachable nodes.
@@ -167,9 +166,7 @@ pub fn bellman_ford(g: &Graph, source: NodeId) -> SpResult {
         source: Some(source),
         ..Default::default()
     };
-    let mut pool = BufferPool::new();
-    let mut ex = Exec::new(NoProbe, &mut pool);
-    let _ = crate::run_kernel(&mut kernel, g, &ctx, &mut ex, &Budget::unlimited());
+    crate::run_unprobed(&mut kernel, g, &ctx, ExecPlan::Serial);
     kernel.into_result()
 }
 
@@ -207,5 +204,39 @@ mod tests {
         let r = bellman_ford(&g, 0);
         // ascending path settles in round 1; round 2 confirms no change
         assert_eq!(r.rounds, 2);
+    }
+
+    #[test]
+    fn shortest_of_two_routes() {
+        // 0 -> 1 -> 2 -> 4 and 0 -> 3 -> 4
+        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)]);
+        assert_eq!(bellman_ford(&g, 0).dist[4], 2);
+    }
+
+    #[test]
+    fn direction_respected() {
+        let g = Graph::from_edges(2, &[(1, 0)]);
+        assert_eq!(bellman_ford(&g, 0).dist[1], UNREACHABLE);
+    }
+
+    #[test]
+    fn matches_bfs_depths() {
+        let edges = [
+            (0, 1),
+            (0, 2),
+            (1, 3),
+            (2, 3),
+            (3, 4),
+            (4, 5),
+            (2, 5),
+            (6, 0),
+        ];
+        let g = Graph::from_edges(7, &edges);
+        let sp = bellman_ford(&g, 0);
+        let bfs = crate::kernels::bfs::bfs(&g, 0);
+        for u in 0..7usize {
+            let bd = if u == 6 { UNREACHABLE } else { bfs.depth[u] };
+            assert_eq!(sp.dist[u], bd, "node {u}");
+        }
     }
 }

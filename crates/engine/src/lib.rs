@@ -1,9 +1,10 @@
-//! # gorder-engine — the unified kernel execution engine
+//! # gorder-engine — the kernel execution engine
 //!
-//! Before this crate, each of the paper's nine benchmark kernels existed
-//! twice: once hand-rolled in `gorder-algos` for wall-clock runs, and
-//! once re-rolled in `gorder-cachesim` as a memory-access replayer. The
-//! engine collapses both into a single implementation per kernel:
+//! Every benchmark kernel of this reproduction is defined here, once:
+//! the paper's nine (NQ, BFS, DFS, SCC, SP, PR, DS, Kcore, Diam) and the
+//! four extension kernels (WCC, Tri, LP, BC) that later reordering
+//! studies add. The same kernel code produces wall-clock runs, cache-model
+//! replays and the checksums that make them comparable:
 //!
 //! * a [`Kernel`] trait — `init` / `iterate` / `converged` / `finish`,
 //!   object-safe per probe type like `OrderingAlgorithm`, so registries
@@ -21,7 +22,10 @@
 //!   kernels inherit the deadline / node-cap / cancellation vocabulary
 //!   of the ordering layer. Kernels are *anytime* at iterate
 //!   granularity: an exhausted budget yields a `Degraded` run whose
-//!   checksum reflects the partial state.
+//!   checksum reflects the partial state;
+//! * lookup by label — [`registry`] and [`kernel_names`] list the nine
+//!   paper kernels in paper order, [`EXTENSION_KERNELS`] the other four;
+//!   [`by_name`], [`execute`] and the `run_*` helpers accept all 13.
 //!
 //! The driver loop is deliberately tiny:
 //!
@@ -48,12 +52,10 @@ use gorder_core::budget::{Budget, ExecOutcome};
 use gorder_graph::{Graph, NodeId};
 use std::time::Instant;
 
-/// Shared run parameters for every kernel.
+/// Shared run parameters for every kernel, wall-clock or traced.
 ///
-/// This is the single source of truth re-exported as
-/// `gorder_algos::RunCtx` and `gorder_cachesim::TraceCtx`; harnesses map
-/// `source` through each ordering's permutation so every ordering
-/// computes from the same *logical* node.
+/// Harnesses map `source` through each ordering's permutation so every
+/// ordering computes from the same *logical* node.
 #[derive(Debug, Clone)]
 pub struct KernelCtx {
     /// Source node for BFS/SP. `None` selects the graph's max-degree node.
@@ -65,7 +67,7 @@ pub struct KernelCtx {
     /// Number of random sources for the diameter estimate (paper: 5000;
     /// scaled down for laptop-size graphs).
     pub diameter_samples: u32,
-    /// Seed for diameter source sampling.
+    /// Seed for Diam's and BC's source sampling.
     pub seed: u64,
 }
 
@@ -187,8 +189,8 @@ impl<'a, P: Probe> Exec<'a, P> {
 /// each array with the probe) and seeds the computation;
 /// [`Kernel::iterate`] advances one kernel-specific unit of work and is
 /// called until [`Kernel::converged`] returns true (or the budget runs
-/// out); [`Kernel::finish`] folds the state into the checksum — the same
-/// value the legacy `gorder-algos` implementations returned, which is
+/// out); [`Kernel::finish`] folds the state into the checksum, built from
+/// relabeling-invariant quantities wherever the result allows, which is
 /// what keeps cross-ordering equivalence testable. [`Kernel::reclaim`]
 /// optionally returns buffers to the pool for the next run.
 ///
@@ -217,8 +219,8 @@ pub trait Kernel<P: Probe> {
 /// What a completed (or degraded) kernel run produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelRun {
-    /// The kernel's checksum — identical to the legacy
-    /// `GraphAlgorithm::run` value for the same graph and context.
+    /// The kernel's checksum — identical under every probe and plan for
+    /// the same graph and context.
     pub checksum: u64,
     /// Work and timing metrics for the run.
     pub stats: KernelStats,
@@ -296,14 +298,30 @@ pub fn kernel_names() -> Vec<&'static str> {
     registry::<NoProbe>().iter().map(|k| k.name()).collect()
 }
 
-/// Looks a kernel up by its paper label, case-insensitively.
+/// Labels of the four extension kernels (DESIGN.md §8), in the order
+/// `--extended` sweeps append them to [`kernel_names`].
+pub const EXTENSION_KERNELS: [&str; 4] = ["WCC", "Tri", "LP", "BC"];
+
+/// The four extension kernels, boxed, in [`EXTENSION_KERNELS`] order.
+fn extensions<P: Probe>() -> [Box<dyn Kernel<P>>; 4] {
+    [
+        Box::new(kernels::wcc::WccKernel::new()),
+        Box::new(kernels::triangles::TriKernel::new()),
+        Box::new(kernels::labelprop::LpKernel::new()),
+        Box::new(kernels::betweenness::BcKernel::new()),
+    ]
+}
+
+/// Looks a kernel up by its label — any of the nine paper kernels or
+/// the [`EXTENSION_KERNELS`] — case-insensitively.
 pub fn by_name<P: Probe>(name: &str) -> Option<Box<dyn Kernel<P>>> {
     registry::<P>()
         .into_iter()
+        .chain(extensions::<P>())
         .find(|k| k.name().eq_ignore_ascii_case(name))
 }
 
-/// True when `name` labels one of the nine engine kernels
+/// True when `name` labels one of the 13 engine kernels
 /// (case-insensitive).
 pub fn is_kernel(name: &str) -> bool {
     by_name::<NoProbe>(name).is_some()
@@ -420,6 +438,19 @@ pub fn run_probed_plan<P: Probe>(
     Some(outcome.value().expect("unlimited budget always completes"))
 }
 
+/// Runs `kernel` unprobed and unbudgeted under `plan` with a fresh pool:
+/// the body of the kernels' result-returning convenience functions.
+pub(crate) fn run_unprobed<K: Kernel<NoProbe>>(
+    kernel: &mut K,
+    g: &Graph,
+    ctx: &KernelCtx,
+    plan: ExecPlan,
+) {
+    let mut pool = BufferPool::new();
+    let mut ex = Exec::with_plan(NoProbe, &mut pool, plan);
+    let _ = run_kernel(kernel, g, ctx, &mut ex, &Budget::unlimited());
+}
+
 /// Wall-clock convenience: [`run_probed`] with [`NoProbe`].
 pub fn run_by_name(name: &str, g: &Graph, ctx: &KernelCtx) -> Option<KernelRun> {
     run_probed(name, g, ctx, NoProbe)
@@ -445,6 +476,14 @@ mod tests {
         Graph::from_edges(5, &[(0, 1), (0, 2), (1, 3), (2, 3)])
     }
 
+    /// The nine paper kernels followed by the four extension kernels.
+    fn all_names() -> Vec<&'static str> {
+        kernel_names()
+            .into_iter()
+            .chain(EXTENSION_KERNELS)
+            .collect()
+    }
+
     #[test]
     fn registry_has_nine_in_paper_order() {
         assert_eq!(
@@ -459,7 +498,12 @@ mod tests {
         assert!(by_name::<NoProbe>("KCORE").is_some());
         assert!(by_name::<NoProbe>("nope").is_none());
         assert!(is_kernel("pr"));
-        assert!(!is_kernel("WCC"));
+        for name in EXTENSION_KERNELS {
+            assert_eq!(by_name::<NoProbe>(name).unwrap().name(), name);
+            assert!(is_kernel(&name.to_lowercase()), "{name}");
+            assert!(is_kernel(&name.to_uppercase()), "{name}");
+        }
+        assert!(!is_kernel("wc"));
     }
 
     #[test]
@@ -470,9 +514,10 @@ mod tests {
             diameter_samples: 3,
             ..Default::default()
         };
-        for name in kernel_names() {
+        for name in all_names() {
             let run = run_by_name(name, &g, &ctx).unwrap();
             assert!(run.stats.iterations > 0, "{name} took no iterations");
+            assert!(run.stats.edges_relaxed > 0, "{name} relaxed no edges");
         }
     }
 
@@ -480,14 +525,14 @@ mod tests {
     fn every_kernel_handles_the_empty_graph() {
         let g = Graph::empty(0);
         let ctx = KernelCtx::default();
-        for name in kernel_names() {
+        for name in all_names() {
             let _ = run_by_name(name, &g, &ctx).unwrap();
         }
     }
 
     #[test]
     fn unknown_kernel_is_none() {
-        assert!(run_by_name("WCC", &diamond(), &KernelCtx::default()).is_none());
+        assert!(run_by_name("nope", &diamond(), &KernelCtx::default()).is_none());
     }
 
     #[test]
@@ -559,7 +604,7 @@ mod tests {
             ..Default::default()
         };
         let mut pool = BufferPool::new();
-        for name in kernel_names() {
+        for name in all_names() {
             let first = execute(name, &g, &ctx, NoProbe, &mut pool, &Budget::unlimited())
                 .unwrap()
                 .value()
@@ -613,6 +658,23 @@ mod tests {
     }
 
     #[test]
+    fn engine_backed_algorithms_report_plan_threads() {
+        let g = Graph::from_edges(8, &[(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)]);
+        let ctx = KernelCtx {
+            pr_iterations: 3,
+            ..Default::default()
+        };
+        // Kernels without a parallel section still report the plan's
+        // grant, and every kernel reports its own work counters.
+        for name in ["PR", "WCC", "Tri", "LP", "BC"] {
+            let run = run_by_name_plan(name, &g, &ctx, ExecPlan::with_threads(3)).unwrap();
+            assert_eq!(run.stats.threads_used, 3, "{name}");
+            assert!(run.stats.iterations > 0, "{name}");
+            assert!(run.stats.edges_relaxed > 0, "{name}");
+        }
+    }
+
+    #[test]
     fn unsafe_probe_forces_serial_path() {
         struct Tracerish;
         impl Probe for Tracerish {
@@ -649,6 +711,9 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(ctx.source_for(&g), 2);
+        // No source selects the max-degree node.
+        let star = Graph::from_edges(3, &[(0, 1), (0, 2)]);
+        assert_eq!(KernelCtx::default().source_for(&star), 0);
     }
 
     #[test]
@@ -674,7 +739,7 @@ mod tests {
             diameter_samples: 2,
             ..Default::default()
         };
-        for name in kernel_names() {
+        for name in all_names() {
             let _ = run_by_name(name, &g, &ctx).unwrap();
         }
     }

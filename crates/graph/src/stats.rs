@@ -106,7 +106,7 @@ pub fn degree_gini(g: &Graph) -> f64 {
 /// `samples` pseudo-randomly chosen source nodes (treating edges as
 /// undirected so disconnected directions don't report infinity). Cheap
 /// sanity metric for generator tests; the benchmark-grade Diameter
-/// algorithm lives in `gorder-algos`.
+/// kernel (Diam) lives in `gorder-engine`.
 pub fn approx_diameter(g: &Graph, samples: u32, seed: u64) -> u32 {
     if g.n() == 0 {
         return 0;

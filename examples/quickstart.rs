@@ -4,10 +4,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use gorder::cachesim::trace::{pagerank as traced_pr, TraceCtx};
+use gorder::cachesim::trace::pagerank as traced_pr;
 use gorder::cachesim::{CacheHierarchy, HierarchyConfig, StallModel, Tracer};
 use gorder::prelude::*;
-use gorder_algos::pagerank::Pr;
 use gorder_core::score::f_score_of;
 use std::time::Instant;
 
@@ -34,12 +33,12 @@ fn main() {
     // 4. Materialise the reordered graph and run an unmodified algorithm
     //    on both layouts — identical results, different memory behaviour.
     let reordered = graph.relabel(&perm);
-    let ctx = RunCtx {
+    let ctx = KernelCtx {
         pr_iterations: 50,
         ..Default::default()
     };
-    let pr = Pr;
-    assert_eq!(pr.run(&graph, &ctx), pr.run(&reordered, &ctx), "same ranks");
+    let pr = |g: &Graph| run_by_name("PR", g, &ctx).expect("PR is a kernel").checksum;
+    assert_eq!(pr(&graph), pr(&reordered), "same ranks");
 
     // 5. Where the speedup comes from: cache behaviour. The simulator
     //    shows the per-layout profile on any machine; raw wall clock only
@@ -51,7 +50,7 @@ fn main() {
         traced_pr(
             g,
             &mut tracer,
-            &TraceCtx {
+            &KernelCtx {
                 pr_iterations: 5,
                 ..Default::default()
             },

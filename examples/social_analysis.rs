@@ -7,11 +7,11 @@
 //! cargo run --release --example social_analysis
 //! ```
 
+use gorder::engine::kernels::domset::dominating_set;
+use gorder::engine::kernels::kcore::kcore;
+use gorder::engine::kernels::scc::scc;
 use gorder::orders::{ChDfs, Rcm};
 use gorder::prelude::*;
-use gorder_algos::domset::dominating_set;
-use gorder_algos::kcore::kcore;
-use gorder_algos::scc::scc;
 use std::time::Instant;
 
 fn main() {

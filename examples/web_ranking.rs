@@ -7,10 +7,10 @@
 //! cargo run --release --example web_ranking
 //! ```
 
-use gorder::cachesim::trace::{pagerank as traced_pr, TraceCtx};
+use gorder::cachesim::trace::pagerank as traced_pr;
 use gorder::cachesim::{CacheHierarchy, HierarchyConfig, StallModel, Tracer};
+use gorder::engine::kernels::pagerank::pagerank;
 use gorder::prelude::*;
-use gorder_algos::pagerank::pagerank;
 
 fn main() {
     // A copying-model web graph with host-block locality (sdarc-like).
@@ -36,7 +36,7 @@ fn main() {
         ),
     ];
     let model = StallModel::skylake();
-    let ctx = TraceCtx {
+    let ctx = KernelCtx {
         pr_iterations: 5,
         ..Default::default()
     };

@@ -18,10 +18,12 @@
 //!   windowed greedy, and ordering quality metrics ([`gorder_core`]).
 //! * [`orders`] — the nine baseline orderings the paper compares against
 //!   ([`gorder_orders`]).
-//! * [`algos`] — the nine benchmark graph algorithms ([`gorder_algos`]).
-//! * [`cachesim`] — a set-associative cache-hierarchy simulator with
-//!   per-algorithm access replayers, standing in for hardware performance
-//!   counters ([`gorder_cachesim`]).
+//! * [`engine`] — the kernel execution engine: the nine benchmark
+//!   algorithms and four extension algorithms, each defined once and
+//!   run by label ([`gorder_engine`]).
+//! * [`cachesim`] — a set-associative cache-hierarchy simulator that
+//!   replays any engine kernel through a tracing probe, standing in for
+//!   hardware performance counters ([`gorder_cachesim`]).
 //!
 //! ## Quickstart
 //!
@@ -47,16 +49,16 @@
 //! assert!(after > before);
 //! ```
 
-pub use gorder_algos as algos;
 pub use gorder_cachesim as cachesim;
 pub use gorder_core as core;
+pub use gorder_engine as engine;
 pub use gorder_graph as graph;
 pub use gorder_orders as orders;
 
 /// One-line imports for the common workflow.
 pub mod prelude {
-    pub use gorder_algos::{GraphAlgorithm, RunCtx};
     pub use gorder_core::{Gorder, GorderBuilder};
+    pub use gorder_engine::{run_by_name, KernelCtx};
     pub use gorder_graph::{Graph, GraphBuilder, Permutation};
     pub use gorder_orders::OrderingAlgorithm;
 }

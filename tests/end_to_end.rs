@@ -4,7 +4,6 @@
 //! optimisation, which is the paper's whole premise.
 
 use gorder::prelude::*;
-use gorder_algos::RunCtx;
 
 /// Every ordering × every algorithm on a small dataset: invariant
 /// checksums must agree across all orderings (with the source node mapped
@@ -13,25 +12,24 @@ use gorder_algos::RunCtx;
 fn all_orderings_preserve_algorithm_results() {
     let g = gorder::graph::datasets::epinion_like().build(0.1);
     let logical_source = g.max_degree_node().unwrap();
-    let base = RunCtx {
+    let base = KernelCtx {
         pr_iterations: 10,
         diameter_samples: 3,
         ..Default::default()
     };
-    // DS greedy and Diam (random sources in label space) are not
-    // relabeling-invariant; everything else is.
-    let invariant = ["NQ", "BFS", "SCC", "SP", "PR", "Kcore"];
+    // DS greedy, Diam and BC (random sources in label space) and LP
+    // (labels are ids) are not relabeling-invariant; everything else is.
+    let invariant = ["NQ", "BFS", "SCC", "SP", "PR", "Kcore", "WCC", "Tri"];
     let mut reference: Vec<Option<u64>> = vec![None; invariant.len()];
     for ordering in gorder::orders::all(7) {
         let perm = ordering.compute(&g);
         let rg = g.relabel(&perm);
-        let ctx = RunCtx {
+        let ctx = KernelCtx {
             source: Some(perm.apply(logical_source)),
             ..base.clone()
         };
         for (i, name) in invariant.iter().enumerate() {
-            let algo = gorder::algos::by_name(name).unwrap();
-            let checksum = algo.run(&rg, &ctx);
+            let checksum = run_by_name(name, &rg, &ctx).unwrap().checksum;
             match reference[i] {
                 None => reference[i] = Some(checksum),
                 Some(expected) => assert_eq!(
@@ -51,7 +49,7 @@ fn dfs_runs_under_every_ordering() {
     let g = gorder::graph::datasets::epinion_like().build(0.05);
     for ordering in gorder::orders::all(3) {
         let rg = g.relabel(&ordering.compute(&g));
-        let r = gorder_algos::dfs::dfs(&rg, 0);
+        let r = gorder::engine::kernels::dfs::dfs(&rg, 0);
         assert_eq!(r.preorder.len() as u32, g.n(), "{}", ordering.name());
     }
 }

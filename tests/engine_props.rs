@@ -1,12 +1,12 @@
-//! Property-based tests for the kernel execution engine: every paper
-//! kernel run through [`gorder_engine::run_by_name`] must produce
+//! Property-based tests for the kernel execution engine: every kernel
+//! run through [`gorder_engine::run_by_name`] must produce
 //! relabeling-invariant results (checksums where the underlying quantity
-//! is invariant, structural properties where it is not), and the
-//! `gorder-algos` wrappers must agree with the engine exactly.
+//! is invariant, structural properties where it is not), whatever the
+//! execution plan, and the WCC kernel must find the same partition as an
+//! independent union–find.
 
 use gorder::prelude::*;
-use gorder_algos::RunCtx;
-use gorder_engine::{run_by_name, run_by_name_plan, ExecPlan};
+use gorder_engine::{run_by_name_plan, ExecPlan, EXTENSION_KERNELS};
 use proptest::prelude::*;
 
 /// Strategy: a directed graph with up to `max_n` nodes and `max_m` edges.
@@ -24,8 +24,8 @@ fn arb_perm(n: u32, seed: u64) -> Permutation {
 }
 
 /// A fast context for property runs: few PR iterations, few Diam samples.
-fn quick_ctx(source: Option<u32>) -> RunCtx {
-    RunCtx {
+fn quick_ctx(source: Option<u32>) -> KernelCtx {
+    KernelCtx {
         source,
         pr_iterations: 5,
         diameter_samples: 2,
@@ -46,9 +46,9 @@ proptest! {
         let src = g.max_degree_node().unwrap_or(0);
         let ctx_g = quick_ctx(Some(src));
         let ctx_h = quick_ctx(Some(p.apply(src)));
-        for name in ["NQ", "BFS", "SP", "SCC", "Kcore"] {
-            let rg = run_by_name(name, &g, &ctx_g).expect("paper kernel");
-            let rh = run_by_name(name, &h, &ctx_h).expect("paper kernel");
+        for name in ["NQ", "BFS", "SP", "SCC", "Kcore", "WCC", "Tri"] {
+            let rg = run_by_name(name, &g, &ctx_g).expect("engine kernel");
+            let rh = run_by_name(name, &h, &ctx_h).expect("engine kernel");
             prop_assert_eq!(rg.checksum, rh.checksum, "{} checksum not invariant", name);
         }
     }
@@ -92,8 +92,8 @@ proptest! {
         let p = arb_perm(g.n(), seed);
         let ctx = quick_ctx(None);
         for graph in [&g, &g.relabel(&p)] {
-            let a = run_by_name("DFS", graph, &ctx).expect("paper kernel");
-            let b = run_by_name("DFS", graph, &ctx).expect("paper kernel");
+            let a = run_by_name("DFS", graph, &ctx).expect("engine kernel");
+            let b = run_by_name("DFS", graph, &ctx).expect("engine kernel");
             prop_assert_eq!(a.checksum, b.checksum, "DFS not deterministic");
             prop_assert_eq!(a.stats.edges_relaxed, graph.m(), "DFS must scan each edge once");
         }
@@ -126,9 +126,9 @@ proptest! {
     fn parallel_plans_never_change_results(g in arb_graph(60, 200), threads in 2u32..8) {
         let ctx = quick_ctx(None);
         let plan = ExecPlan::with_threads(threads);
-        for name in ["NQ", "BFS", "DFS", "SCC", "SP", "PR", "DS", "Kcore", "Diam"] {
-            let serial = run_by_name(name, &g, &ctx).expect("paper kernel");
-            let par = run_by_name_plan(name, &g, &ctx, plan).expect("paper kernel");
+        for name in gorder_engine::kernel_names().into_iter().chain(EXTENSION_KERNELS) {
+            let serial = run_by_name(name, &g, &ctx).expect("engine kernel");
+            let par = run_by_name_plan(name, &g, &ctx, plan).expect("engine kernel");
             prop_assert_eq!(serial.checksum, par.checksum, "{} checksum at {} threads", name, threads);
             prop_assert_eq!(serial.stats.iterations, par.stats.iterations, "{} iterations", name);
             prop_assert_eq!(serial.stats.edges_relaxed, par.stats.edges_relaxed, "{} edges", name);
@@ -147,9 +147,9 @@ proptest! {
         let ctx_g = quick_ctx(Some(src));
         let ctx_h = quick_ctx(Some(p.apply(src)));
         let plan = ExecPlan::with_threads(threads);
-        for name in ["NQ", "BFS", "SP", "SCC", "Kcore"] {
-            let serial_g = run_by_name(name, &g, &ctx_g).expect("paper kernel");
-            let par_h = run_by_name_plan(name, &h, &ctx_h, plan).expect("paper kernel");
+        for name in ["NQ", "BFS", "SP", "SCC", "Kcore", "WCC", "Tri"] {
+            let serial_g = run_by_name(name, &g, &ctx_g).expect("engine kernel");
+            let par_h = run_by_name_plan(name, &h, &ctx_h, plan).expect("engine kernel");
             prop_assert_eq!(
                 serial_g.checksum, par_h.checksum,
                 "{} serial-on-g vs {}-thread-on-relabel", name, threads
@@ -174,23 +174,51 @@ proptest! {
         }
     }
 
-    // Every `gorder-algos` wrapper must agree exactly with the engine
-    // kernel it delegates to — checksum and counters alike.
+    // The WCC kernel's components are exactly union–find's, on sparse
+    // random graphs (many isolated nodes and small trees) as well as
+    // denser ones: two nodes share a kernel component iff they share a
+    // union–find root.
     #[test]
-    fn algos_wrappers_agree_with_engine(g in arb_graph(40, 120), seed in any::<u64>()) {
-        let p = arb_perm(g.n(), seed);
-        let h = g.relabel(&p);
-        let ctx = quick_ctx(Some(h.max_degree_node().unwrap_or(0)));
-        for name in ["NQ", "BFS", "DFS", "SP", "PR", "DS", "Kcore", "SCC", "Diam"] {
-            let a = gorder::algos::by_name(name).expect("paper algorithm");
-            let (checksum, stats) = a.run_stats(&h, &ctx);
-            let run = run_by_name(name, &h, &ctx).expect("paper kernel");
-            prop_assert_eq!(checksum, run.checksum, "{} checksum drifts", name);
-            // phase timings are wall-clock, so compare the counters only
-            let counters = |s: &gorder_algos::KernelStats| {
-                (s.iterations, s.edges_relaxed, s.frontier_pushes, s.frontier_peak)
+    fn wcc_partition_matches_union_find(n in 1u32..300, density in 0u32..300, seed in any::<u64>()) {
+        let g = gorder::graph::gen::erdos_renyi(n, u64::from(n * density / 100), seed);
+        let r = gorder::engine::kernels::wcc::wcc(&g);
+        let roots = union_find_roots(&g);
+        let mut kernel_of_root = std::collections::HashMap::new();
+        let mut root_of_kernel = std::collections::HashMap::new();
+        for u in g.nodes() {
+            let (c, root) = (r.component[u as usize], roots[u as usize]);
+            prop_assert_eq!(*kernel_of_root.entry(root).or_insert(c), c, "node {} split", u);
+            prop_assert_eq!(*root_of_kernel.entry(c).or_insert(root), root, "node {} merged", u);
+        }
+        prop_assert_eq!(r.count() as usize, kernel_of_root.len());
+        let total: u32 = r.sizes.iter().sum();
+        prop_assert_eq!(total, g.n());
+    }
+}
+
+/// Union–find with path halving and union by size over every edge,
+/// ignoring direction; returns each node's root.
+fn union_find_roots(g: &Graph) -> Vec<u32> {
+    fn find(parent: &mut [u32], mut x: u32) -> u32 {
+        while parent[x as usize] != x {
+            parent[x as usize] = parent[parent[x as usize] as usize];
+            x = parent[x as usize];
+        }
+        x
+    }
+    let mut parent: Vec<u32> = g.nodes().collect();
+    let mut size = vec![1u32; g.n() as usize];
+    for (u, v) in g.edges() {
+        let (ru, rv) = (find(&mut parent, u), find(&mut parent, v));
+        if ru != rv {
+            let (big, small) = if size[ru as usize] >= size[rv as usize] {
+                (ru, rv)
+            } else {
+                (rv, ru)
             };
-            prop_assert_eq!(counters(&stats), counters(&run.stats), "{} counters drift", name);
+            parent[small as usize] = big;
+            size[big as usize] += size[small as usize];
         }
     }
+    g.nodes().map(|u| find(&mut parent, u)).collect()
 }

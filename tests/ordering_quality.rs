@@ -3,7 +3,7 @@
 //! Random, and the specialist orderings win their home turf (RCM on
 //! bandwidth, annealing on its energies).
 
-use gorder::cachesim::trace::{pagerank as traced_pr, TraceCtx};
+use gorder::cachesim::trace::pagerank as traced_pr;
 use gorder::cachesim::{CacheHierarchy, HierarchyConfig, Tracer};
 use gorder::prelude::*;
 use gorder_core::score::{bandwidth_of, f_score_of, minla_energy_of};
@@ -36,7 +36,7 @@ fn gorder_wins_its_own_objective() {
 #[test]
 fn gorder_beats_random_on_simulated_cache_misses() {
     let g = structured_graph();
-    let ctx = TraceCtx {
+    let ctx = KernelCtx {
         pr_iterations: 3,
         ..Default::default()
     };
@@ -103,7 +103,7 @@ fn chdfs_gives_dfs_a_sequential_walk() {
     let perm = gorder::orders::ChDfs.compute(&g);
     let rg = g.relabel(&perm);
     let start = rg.nodes().max_by_key(|&u| rg.degree(u)).unwrap();
-    let r = gorder_algos::dfs::dfs(&rg, start);
+    let r = gorder::engine::kernels::dfs::dfs(&rg, start);
     let sequential = r.preorder.windows(2).filter(|w| w[1] == w[0] + 1).count();
     assert!(
         sequential as f64 > 0.95 * (rg.n() as f64 - 1.0),

@@ -6,7 +6,7 @@
 //! paper used hardware counters. They are deliberately coarse — factors,
 //! not absolute values — so they stay robust across platforms.
 
-use gorder::cachesim::trace::{pagerank as traced_pr, replay, TraceCtx};
+use gorder::cachesim::trace::{pagerank as traced_pr, replay};
 use gorder::cachesim::{CacheHierarchy, HierarchyConfig, StallModel, Tracer};
 use gorder::prelude::*;
 use std::collections::HashMap;
@@ -17,7 +17,7 @@ fn l1_miss_rate(g: &Graph, perm: &Permutation) -> f64 {
     traced_pr(
         &rg,
         &mut t,
-        &TraceCtx {
+        &KernelCtx {
             pr_iterations: 3,
             ..Default::default()
         },
@@ -65,14 +65,14 @@ fn fig1_shape() {
     let g = gorder::graph::datasets::sdarc_like().build(0.05);
     let perm = GorderBuilder::new().build().compute(&g);
     let rg = g.relabel(&perm);
-    let ctx = TraceCtx {
+    let ctx = KernelCtx {
         pr_iterations: 4,
         diameter_samples: 2,
         ..Default::default()
     };
     let model = StallModel::skylake();
     let mut improved = 0;
-    let names = gorder::cachesim::trace::TRACED_ALGOS;
+    let names = gorder::engine::kernel_names();
     for name in names {
         let run = |graph: &Graph| {
             let mut t = Tracer::new(CacheHierarchy::new(&HierarchyConfig::scaled_down()));

@@ -7,14 +7,18 @@
 //! `GORDER_TEST_THREADS` (the CI matrix variable) adds an extra thread
 //! count to the built-in {1, 2, 3, 7} sweep.
 
-use gorder_algos::RunCtx;
 use gorder_engine::kernels::{bfs, diameter, kcore, pagerank};
-use gorder_engine::{run_by_name, run_by_name_plan, ExecPlan};
+use gorder_engine::{run_by_name, run_by_name_plan, ExecPlan, KernelCtx, EXTENSION_KERNELS};
 use gorder_graph::gen::{erdos_renyi, web_graph, WebGraphConfig};
 use gorder_graph::Graph;
 
-/// The nine paper kernels, in presentation order.
-const KERNELS: [&str; 9] = ["NQ", "BFS", "DFS", "SCC", "SP", "PR", "DS", "Kcore", "Diam"];
+/// The nine paper kernels in presentation order, then the four
+/// extension kernels.
+fn kernels() -> Vec<&'static str> {
+    let mut names = gorder_engine::kernel_names();
+    names.extend(EXTENSION_KERNELS);
+    names
+}
 
 /// Thread counts under test: serial, even, odd, and more-than-cores-ish;
 /// plus whatever the CI matrix pins via `GORDER_TEST_THREADS`.
@@ -31,8 +35,8 @@ fn thread_counts() -> Vec<u32> {
     counts
 }
 
-fn quick_ctx() -> RunCtx {
-    RunCtx {
+fn quick_ctx() -> KernelCtx {
+    KernelCtx {
         pr_iterations: 5,
         diameter_samples: 3,
         ..Default::default()
@@ -80,11 +84,11 @@ fn every_kernel_matches_serial_under_every_ordering_and_thread_count() {
         for o in gorder_orders::all(42) {
             let perm = o.compute(&g);
             let rg = g.relabel(&perm);
-            for name in KERNELS {
-                let serial = run_by_name(name, &rg, &ctx).expect("paper kernel");
+            for name in kernels() {
+                let serial = run_by_name(name, &rg, &ctx).expect("engine kernel");
                 for &t in &counts {
                     let par = run_by_name_plan(name, &rg, &ctx, ExecPlan::with_threads(t))
-                        .expect("paper kernel");
+                        .expect("engine kernel");
                     let tag = format!("{name} on {family}/{} at {t} threads", o.name());
                     assert_eq!(serial.checksum, par.checksum, "{tag}: checksum");
                     assert_eq!(
@@ -157,10 +161,10 @@ fn degenerate_graphs_run_at_every_thread_count() {
     ];
     for (label, g) in &degenerates {
         for &t in &thread_counts() {
-            for name in KERNELS {
+            for name in kernels() {
                 let run = run_by_name_plan(name, g, &ctx, ExecPlan::with_threads(t))
-                    .expect("paper kernel");
-                let serial = run_by_name(name, g, &ctx).expect("paper kernel");
+                    .expect("engine kernel");
+                let serial = run_by_name(name, g, &ctx).expect("engine kernel");
                 assert_eq!(
                     serial.checksum, run.checksum,
                     "{name} on {label} at {t} threads"
