@@ -13,7 +13,7 @@ pub struct HarnessArgs {
     /// Quick smoke-run mode: tiny datasets, light algorithm parameters.
     pub quick: bool,
     /// Per-cell watchdog deadline in seconds (`--cell-timeout`); `None`
-    /// runs unguarded, preserving the historical fail-fast behaviour.
+    /// runs each ordering and cell inline, still under `catch_unwind`.
     pub cell_timeout: Option<f64>,
     /// Worker threads for the engine-backed kernels (`--threads`); 1 =
     /// serial. Parallel runs produce byte-identical results.

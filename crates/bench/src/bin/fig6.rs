@@ -3,7 +3,8 @@
 //! Aggregates the Figure 5 grid: for each of the (algorithm × dataset)
 //! series, orderings are ranked by runtime; the histogram shows how often
 //! each ordering takes each rank. Reads `results/fig5.csv` if present
-//! (run `fig5` first for a free ride), otherwise recomputes the grid.
+//! (run `fig5` first for a free ride), otherwise recomputes the grid the
+//! way `fig5` would with the same flags (modelled unless `--wall`).
 //!
 //! Shape to reproduce: Gorder first in roughly half the series and
 //! near-first elsewhere; RCM and ChDFS its only real challengers; Random
@@ -98,7 +99,19 @@ fn load_or_run(args: &HarnessArgs) -> Vec<CellResult> {
         }
     }
     eprintln!("[fig6] no cached grid; running (use fig5 to cache)");
-    run_grid(&GridConfig::new(
-        args.scale, args.reps, args.seed, args.quick,
-    ))
+    let cfg = GridConfig::from_args(args).unwrap_or_else(|e| die(&e));
+    let grid = cfg.sweep().unwrap_or_else(|e| die(&e));
+    let mut measure = if args.has_flag("--wall") {
+        cfg.wall_measure()
+    } else {
+        cfg.sim_measure()
+    };
+    let report = run_grid(&grid, &mut *measure, &mut |_| {}, &mut |_| {});
+    report.print_skip_report();
+    report.usable()
+}
+
+fn die(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
 }

@@ -18,6 +18,12 @@
 //! 0.25), `--quick` (tiny sizes + fewer repetitions, for smoke runs) and
 //! `--seed <n>`. `fig5` writes its grid to `results/fig5.csv` so `fig6`
 //! can aggregate without re-running.
+//!
+//! `fig5`, `fig6`'s fallback and `gate` run their datasets × orderings ×
+//! kernels grids through one driver, [`sweep`]: each supplies its ordering
+//! pool and a per-cell [`Measure`], and the driver builds, orders,
+//! relabels and guards the rest ([`run_guarded`]), so no single cell can
+//! take down a sweep.
 
 pub mod args;
 pub mod experiment;
@@ -32,7 +38,7 @@ pub mod timing;
 pub mod tracefile;
 
 pub use args::HarnessArgs;
-pub use experiment::{run_grid, CellResult, GridConfig};
+pub use experiment::{resolve_kernels, resolve_orderings, run_grid, CellResult, GridConfig};
 pub use gate::{
     compare, parse_report, render_report, run_gate, GateComparison, GateConfig, GateDelta,
     GateMode, GateReport,
@@ -40,30 +46,8 @@ pub use gate::{
 pub use ranking::{rank_counts, Ranking};
 pub use resume::{RecoveredCell, ResumeState};
 pub use robust::{
-    abandoned_count, guarded_ordering, guarded_ordering_run, reap_abandoned, resolve_ordering,
-    run_grid_robust, run_grid_robust_full, run_grid_robust_observed, run_grid_robust_resumed,
-    run_grid_robust_with, run_grid_robust_with_observed, run_guarded, CellStatus, OrderHooks,
-    RobustCell, SweepReport,
+    abandoned_count, guarded_ordering_run, reap_abandoned, resolve_ordering, run_guarded, sweep,
+    CellStatus, Job, Layout, Measure, RecoveredLookup, RobustCell, Sweep, SweepCell, SweepReport,
 };
 pub use stats::{paired_stats, sign_test_p, PairedStats, Verdict};
 pub use tracefile::{expected_config_hash, SweepTrace};
-
-/// Validates an `--orderings` filter against the extended registry
-/// before any work runs, returning the offending name and a "did you
-/// mean" suggestion when one is close enough. `None`/empty filters are
-/// trivially valid.
-pub fn check_ordering_filter(names: &Option<Vec<String>>) -> Result<(), String> {
-    let Some(names) = names else { return Ok(()) };
-    for name in names {
-        if gorder_orders::by_name_extended(name, 0).is_none() {
-            let hint = gorder_orders::suggest_name(name)
-                .map(|s| format!(" (did you mean {s:?}?)"))
-                .unwrap_or_default();
-            return Err(format!(
-                "--orderings: unknown ordering {name:?}{hint}; \
-                 run `gorder-cli list-orderings` for the full set"
-            ));
-        }
-    }
-    Ok(())
-}

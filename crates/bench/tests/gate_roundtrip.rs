@@ -169,3 +169,23 @@ fn unknown_flags_and_names_exit_2() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn pinned_sim_gate_renders_the_committed_baseline_byte_for_byte() {
+    use gorder_bench::gate::{render_report, run_gate, GateConfig, GateMode};
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .and_then(Path::parent)
+        .expect("crates/bench sits two levels under the repo root");
+    let committed = std::fs::read_to_string(root.join("BENCH_gate.json")).expect("BENCH_gate.json");
+    let fresh = render_report(&run_gate(&GateConfig::pinned(GateMode::Sim)).expect("pinned run"));
+    if let Some((i, (want, got))) = committed
+        .lines()
+        .zip(fresh.lines())
+        .enumerate()
+        .find(|(_, (a, b))| a != b)
+    {
+        panic!("line {} differs:\ncommitted {want}\nfresh     {got}", i + 1);
+    }
+    assert_eq!(committed, fresh, "same lines, different length or endings");
+}

@@ -3,8 +3,7 @@
 //! resolution is a cache hit — and its usable cells match the cold run's
 //! exactly (simulated mode is deterministic, so equality is bitwise).
 
-use gorder_bench::robust::{run_grid_robust_full, OrderHooks};
-use gorder_bench::{GridConfig, SweepReport};
+use gorder_bench::{run_grid, GridConfig, Sweep, SweepReport};
 use gorder_graph::datasets::epinion_like;
 use gorder_obs::OrderEvent;
 use gorder_orders::OrderCache;
@@ -34,18 +33,15 @@ fn cfg() -> GridConfig {
 
 fn sweep(cache: &OrderCache) -> (SweepReport, Vec<OrderEvent>) {
     let mut events = Vec::new();
-    let mut on_order = |e: &OrderEvent| events.push(e.clone());
-    let mut hooks = OrderHooks {
+    let grid = Sweep {
+        timeout: Some(Duration::from_secs(120)),
         cache: Some(cache),
-        seed: cfg().seed,
-        on_order: &mut on_order,
+        ..cfg().sweep().unwrap()
     };
-    let report = run_grid_robust_full(
-        &cfg(),
-        Some(Duration::from_secs(120)),
-        true, // simulated mode: deterministic seconds
-        None,
-        Some(&mut hooks),
+    let report = run_grid(
+        &grid,
+        &mut *cfg().sim_measure(), // simulated mode: deterministic seconds
+        &mut |e: &OrderEvent| events.push(e.clone()),
         &mut |_| {},
     );
     (report, events)

@@ -27,7 +27,7 @@ use gorder_graph::stats::{degree_gini, GraphStats};
 use gorder_graph::Permutation;
 use gorder_graph::{io, io_mm, Graph};
 use gorder_obs::OrderEvent;
-use gorder_orders::{run_ordering, CacheKey, OrderCache, OrderStats, OrderingAlgorithm};
+use gorder_orders::{run_ordering, CacheKey, OrderCache, OrderingAlgorithm};
 use std::borrow::Cow;
 use std::path::Path;
 use std::time::Duration;
@@ -375,64 +375,20 @@ pub fn resolve_ordering_with_budget(
     cache: Option<&OrderCache>,
     dataset: Option<&str>,
 ) -> Result<ResolvedOrdering, CliError> {
-    let event = |status: &str, seconds: f64, stats: OrderStats, hit: bool| OrderEvent {
-        dataset: dataset.map(str::to_string),
-        name: key.ordering.clone(),
-        params: key.params.clone(),
-        seed: key.seed,
-        graph_digest: key.graph_digest,
-        identity: key.identity(),
-        status: status.to_string(),
-        seconds,
-        nodes_placed: stats.nodes_placed,
-        heap_increments: stats.heap_increments,
-        heap_decrements: stats.heap_decrements,
-        heap_pops: stats.heap_pops,
-        threads_used: u64::from(stats.threads_used),
-        cache_hit: hit,
+    let (outcome, event) = gorder_orders::resolve_ordering(key, g.n(), cache, dataset, || {
+        run_ordering(o, g, gorder_orders::ExecPlan::Serial, budget)
+    });
+    let (perm, degraded) = match outcome {
+        ExecOutcome::Completed(perm) => (perm, None),
+        ExecOutcome::Degraded(perm, reason) => (perm, Some(reason)),
+        ExecOutcome::TimedOut => return Err(CliError::TimedOut),
+        ExecOutcome::Failed(msg) => return Err(CliError::Failed(msg)),
     };
-    if let Some(cache) = cache {
-        let t = std::time::Instant::now();
-        if let Some(perm) = cache.load(key, g.n()) {
-            let stats = OrderStats {
-                nodes_placed: u64::from(perm.len()),
-                threads_used: 1,
-                cache_hit: true,
-                ..Default::default()
-            };
-            let ev = event("completed", t.elapsed().as_secs_f64(), stats, true);
-            return Ok(ResolvedOrdering {
-                perm,
-                degraded: None,
-                event: ev,
-            });
-        }
-    }
-    match run_ordering(o, g, gorder_orders::ExecPlan::Serial, budget) {
-        ExecOutcome::Completed(run) => {
-            if let Some(cache) = cache {
-                if let Err(e) = cache.store(key, &run.perm) {
-                    eprintln!("warning: order cache store failed: {e}");
-                }
-            }
-            let ev = event("completed", run.stats.compute_secs, run.stats, false);
-            Ok(ResolvedOrdering {
-                perm: run.perm,
-                degraded: None,
-                event: ev,
-            })
-        }
-        ExecOutcome::Degraded(run, reason) => {
-            let ev = event("degraded", run.stats.compute_secs, run.stats, false);
-            Ok(ResolvedOrdering {
-                perm: run.perm,
-                degraded: Some(reason),
-                event: ev,
-            })
-        }
-        ExecOutcome::TimedOut => Err(CliError::TimedOut),
-        ExecOutcome::Failed(msg) => Err(CliError::Failed(msg)),
-    }
+    Ok(ResolvedOrdering {
+        perm,
+        degraded,
+        event,
+    })
 }
 
 /// Resolves and applies the optional `--method` ordering under an optional

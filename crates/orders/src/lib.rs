@@ -49,7 +49,7 @@ pub use layout_cache::{Admission, LayoutCache, LayoutStats};
 pub use ldg::Ldg;
 pub use parallel::ParallelGorder;
 pub use rcm::Rcm;
-pub use runner::{run_by_name_plan, run_ordering, OrderStats, OrderingRun};
+pub use runner::{resolve_ordering, run_by_name_plan, run_ordering, OrderStats, OrderingRun};
 pub use single_flight::{FlightResult, SingleFlight};
 pub use slashburn::SlashBurn;
 pub use trivial::{Original, RandomOrder};

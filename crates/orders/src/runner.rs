@@ -13,6 +13,9 @@
 //! [`run_by_name_plan`] is the string-keyed entry point the CLI and
 //! sweeps use: it resolves a name against the extended registry
 //! ([`crate::extensions::extended`]) and runs it under a plan + budget.
+//! [`resolve_ordering`] puts the permutation cache and the `order` trace
+//! record around a run; the sweeps, the CLI and the daemon all resolve
+//! through it.
 
 use std::time::Instant;
 
@@ -20,8 +23,9 @@ use gorder_core::budget::{Budget, ExecOutcome};
 use gorder_engine::ExecPlan;
 use gorder_graph::Graph;
 use gorder_graph::Permutation;
+use gorder_obs::OrderEvent;
 
-use crate::OrderingAlgorithm;
+use crate::{CacheKey, OrderCache, OrderingAlgorithm};
 
 /// Counters and timings describing one ordering construction — the
 /// ordering-side mirror of the engine's `KernelStats`. Heap counters are
@@ -151,6 +155,64 @@ pub fn run_by_name_plan(
     Some(run_ordering(o.as_ref(), g, plan, budget))
 }
 
+/// Resolves one ordering of a graph with `n` nodes: loads it from `cache`
+/// under `key` when present, otherwise calls `compute` (normally
+/// [`run_ordering`], possibly under the caller's guard) and stores a
+/// **completed** permutation back — degraded ones depend on the budget
+/// that cut them short, not just the key, and would poison warm runs.
+/// Either way the resolution is described by an `order` record labelled
+/// `dataset`. `key` must be the ordering's key for the graph; nothing
+/// here hashes the graph.
+pub fn resolve_ordering(
+    key: &CacheKey,
+    n: u32,
+    cache: Option<&OrderCache>,
+    dataset: Option<&str>,
+    compute: impl FnOnce() -> ExecOutcome<OrderingRun>,
+) -> (ExecOutcome<Permutation>, OrderEvent) {
+    let event = |status: &str, seconds: f64, stats: OrderStats| OrderEvent {
+        dataset: dataset.map(str::to_string),
+        name: key.ordering.clone(),
+        params: key.params.clone(),
+        seed: key.seed,
+        graph_digest: key.graph_digest,
+        identity: key.identity(),
+        status: status.to_string(),
+        seconds,
+        nodes_placed: stats.nodes_placed,
+        heap_increments: stats.heap_increments,
+        heap_decrements: stats.heap_decrements,
+        heap_pops: stats.heap_pops,
+        threads_used: u64::from(stats.threads_used),
+        cache_hit: stats.cache_hit,
+    };
+    if let Some(cache) = cache {
+        let started = Instant::now();
+        if let Some(perm) = cache.load(key, n) {
+            let stats = OrderStats {
+                nodes_placed: u64::from(perm.len()),
+                threads_used: 1,
+                cache_hit: true,
+                ..Default::default()
+            };
+            let ev = event("completed", started.elapsed().as_secs_f64(), stats);
+            return (ExecOutcome::Completed(perm), ev);
+        }
+    }
+    let outcome = compute();
+    if let (Some(cache), ExecOutcome::Completed(run)) = (cache, &outcome) {
+        if let Err(e) = cache.store(key, &run.perm) {
+            eprintln!(
+                "[order-cache] warning: could not store {}: {e}",
+                key.identity()
+            );
+        }
+    }
+    let stats = outcome.value_ref().map(|run| run.stats).unwrap_or_default();
+    let ev = event(outcome.status_label(), stats.compute_secs, stats);
+    (outcome.map(|run| run.perm), ev)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,6 +264,36 @@ mod tests {
                 "{name} permutation must be plan-independent"
             );
         }
+    }
+
+    #[test]
+    fn resolution_stores_completed_runs_and_hits_them_later() {
+        let g = graph();
+        let o = crate::Rcm;
+        let key = CacheKey::for_ordering(&g, &o, 5);
+        let dir = std::env::temp_dir().join(format!("gorder-resolve-{}", std::process::id()));
+        let cache = OrderCache::new(&dir).unwrap();
+        let run = || run_ordering(&o, &g, ExecPlan::Serial, &Budget::unlimited());
+        let (cold, cold_ev) = resolve_ordering(&key, g.n(), Some(&cache), Some("d"), run);
+        let (warm, warm_ev) = resolve_ordering(&key, g.n(), Some(&cache), Some("d"), || {
+            panic!("a cache hit must not compute")
+        });
+        assert_eq!(
+            cold.value().unwrap().as_slice(),
+            warm.value().unwrap().as_slice()
+        );
+        assert!(!cold_ev.cache_hit && warm_ev.cache_hit);
+        assert_eq!(cold_ev.identity, warm_ev.identity);
+        assert_eq!(warm_ev.dataset.as_deref(), Some("d"));
+        // a run that produced nothing is still described, never stored
+        let other = CacheKey { seed: 6, ..key };
+        let (failed, ev) = resolve_ordering(&other, g.n(), Some(&cache), None, || {
+            ExecOutcome::Failed("boom".into())
+        });
+        assert_eq!(failed, ExecOutcome::Failed("boom".into()));
+        assert_eq!((ev.status.as_str(), ev.nodes_placed), ("failed", 0));
+        assert!(cache.load(&other, g.n()).is_none());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -4,12 +4,11 @@
 //! healthy cell, report the panicked cells as failed and the annealing
 //! cells as degraded (or abandoned), and return normally.
 
-use gorder_bench::robust::guarded_ordering;
-use gorder_bench::{run_grid_robust_with, CellStatus, GridConfig};
+use gorder_bench::{guarded_ordering_run, run_grid, CellStatus, GridConfig, Sweep};
 use gorder_core::budget::{Budget, ExecOutcome};
 use gorder_graph::datasets::epinion_like;
 use gorder_graph::{Graph, Permutation};
-use gorder_orders::{Annealing, EnergyModel, OrderingAlgorithm};
+use gorder_orders::{Annealing, EnergyModel, ExecPlan, OrderingAlgorithm};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -51,7 +50,12 @@ fn sweep_with_injected_faults_completes_and_reports() {
         Arc::new(oversized_annealing()),
         Arc::new(gorder_orders::ChDfs),
     ];
-    let report = run_grid_robust_with(&cfg, Some(Duration::from_millis(50)), false, pool);
+    let grid = Sweep {
+        orderings: pool,
+        timeout: Some(Duration::from_millis(50)),
+        ..cfg.sweep().unwrap()
+    };
+    let report = run_grid(&grid, &mut *cfg.wall_measure(), &mut |_| {}, &mut |_| {});
 
     // Every cell of the 4 × 2 grid is present — the sweep never died.
     assert_eq!(report.cells.len(), 8);
@@ -117,7 +121,7 @@ fn one_millisecond_annealing_budget_degrades_not_dies() {
 fn guarded_panicking_ordering_is_isolated() {
     let g = Arc::new(epinion_like().build(0.02));
     let o: Arc<dyn OrderingAlgorithm> = Arc::new(Panicker);
-    match guarded_ordering(&o, &g, Some(Duration::from_secs(5))) {
+    match guarded_ordering_run(&o, &g, ExecPlan::Serial, Some(Duration::from_secs(5))) {
         ExecOutcome::Failed(msg) => assert!(msg.contains("injected ordering fault"), "{msg}"),
         other => panic!("expected Failed, got {}", other.status_label()),
     }
