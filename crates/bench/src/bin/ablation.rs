@@ -18,6 +18,7 @@ use gorder_cachesim::{CacheHierarchy, HierarchyConfig, Tracer};
 use gorder_core::budget::ExecOutcome;
 use gorder_core::score::{bandwidth_of, f_score_of};
 use gorder_engine::{run_by_name, KernelCtx};
+use gorder_graph::datasets::{self, Dataset};
 use gorder_graph::locality::mean_edge_span;
 use gorder_obs::{CellEvent, PhaseEvent, TraceEvent};
 use gorder_orders::{CacheKey, OrderCache};
@@ -41,6 +42,12 @@ fn main() {
     };
     let mut csv_rows = Vec::new();
     let timeout = args.cell_timeout_duration();
+    // Unknown dataset names, and datasets outside the study's pair, fail
+    // before any graph is built.
+    let datasets = ablation_datasets(args.datasets.as_deref()).unwrap_or_else(|e| {
+        eprintln!("error: --datasets: {e}");
+        std::process::exit(2)
+    });
     // Unknown ordering names fail before any graph is built; known ones
     // match case-insensitively.
     let orderings = resolve_orderings(&args.orderings, true, args.seed).unwrap_or_else(|e| {
@@ -75,15 +82,6 @@ fn main() {
     // one `cell` line per PageRank row, and one verbatim `row` line per
     // CSV row, flushed as each lands.
     let mut trace = SweepTrace::open("ablation", &args);
-    let datasets = [
-        gorder_graph::datasets::flickr_like(),
-        gorder_graph::datasets::pldarc_like(),
-    ]
-    .into_iter()
-    .filter(|d| match &args.datasets {
-        None => true,
-        Some(keep) => keep.iter().any(|k| k == d.name),
-    });
     for d in datasets {
         let g = Arc::new(d.build(args.scale));
         println!(
@@ -262,4 +260,26 @@ fn main() {
         Err(e) => eprintln!("csv write failed: {e}"),
     }
     trace.finish();
+}
+
+/// The datasets the study runs on: one social and one web graph.
+const ABLATION_DATASETS: [&str; 2] = ["flickr", "pldarc"];
+
+/// The datasets `--datasets` selects, in [`ABLATION_DATASETS`] order
+/// (both when it is absent). Every name must be a known dataset and one
+/// of those two; otherwise the error names it, before any graph is built.
+fn ablation_datasets(names: Option<&[String]>) -> Result<Vec<Dataset>, String> {
+    for n in names.unwrap_or_default() {
+        let d = datasets::by_name(n).ok_or_else(|| format!("unknown dataset {n:?}"))?;
+        if !ABLATION_DATASETS.contains(&d.name) {
+            return Err(format!(
+                "ablation runs on {ABLATION_DATASETS:?} only, not {n:?}"
+            ));
+        }
+    }
+    Ok(ABLATION_DATASETS
+        .into_iter()
+        .filter(|a| names.is_none_or(|keep| keep.iter().any(|n| n == a)))
+        .map(|a| datasets::by_name(a).expect("ablation datasets are recipes"))
+        .collect())
 }

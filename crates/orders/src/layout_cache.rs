@@ -108,6 +108,13 @@ impl LayoutCache {
         found
     }
 
+    /// Whether `identity` is resident. Unlike [`get`](Self::get) it
+    /// neither refreshes recency nor counts a hit or miss, so a caller
+    /// may peek (e.g. to route a request) before the counted lookup.
+    pub fn contains(&self, identity: &str) -> bool {
+        self.lock().entries.contains_key(identity)
+    }
+
     /// Offers `layout` under `identity`, evicting least-recently-used
     /// entries until it fits.
     pub fn insert(&self, identity: &str, layout: Arc<Graph>) -> Admission {

@@ -109,6 +109,23 @@ fn zero_bound_admits_nothing() {
 }
 
 #[test]
+fn contains_neither_counts_nor_refreshes() {
+    let cache = LayoutCache::new(2 * bytes(9));
+    cache.insert("a", layout(9));
+    cache.insert("b", layout(9));
+    for _ in 0..3 {
+        assert!(cache.contains("a") && cache.contains("b"));
+        assert!(!cache.contains("c"));
+    }
+    let s = cache.stats();
+    assert_eq!((s.hits, s.misses), (0, 0), "peeks are not lookups");
+    // `a` is still the least recently used, despite the peeks.
+    cache.insert("c", layout(9));
+    assert!(!cache.contains("a"), "a was evicted first");
+    assert!(cache.contains("b") && cache.contains("c"));
+}
+
+#[test]
 fn hits_plus_misses_equal_lookups() {
     let cache = LayoutCache::new(2 * bytes(9));
     let mut lookups = 0;

@@ -1,10 +1,12 @@
 //! Bounded admission queue with explicit load shedding.
 //!
-//! Connections enqueue work; a fixed worker pool drains it. The queue
-//! depth is capped: [`Queue::try_enqueue`] never blocks and never grows
-//! the backlog past the cap — a full queue sheds the request so the
-//! client gets an immediate `busy` (with a retry hint) instead of an
-//! unbounded latency tail. [`Queue::close`] flips the queue into drain
+//! Connections enqueue work; a fixed set of worker threads drains it.
+//! The server keeps one queue per lane (build and run), each with its
+//! own workers and cap. The queue depth is capped:
+//! [`Queue::try_enqueue`] never blocks and never grows the backlog past
+//! the cap — a full queue sheds the request so the client gets an
+//! immediate `busy` (with a retry hint) instead of an unbounded latency
+//! tail. [`Queue::close`] flips the queue into drain
 //! mode: no new work is admitted, but everything already accepted is
 //! still handed to workers — the "zero accepted requests lost" half of
 //! the drain contract.

@@ -8,10 +8,13 @@
 //!   [`gorder_obs::json`] grammar, with a hard per-frame byte cap and
 //!   timeout-resumable reads ([`protocol::FrameReader`]); malformed
 //!   input is always answered with a structured `error` frame;
-//! * [`admission`] — the bounded queue in front of the worker pool:
+//! * [`admission`] — the bounded queue in front of each worker lane:
 //!   beyond its depth cap requests are **shed** with `busy` +
 //!   `retry_after_ms` instead of queueing without bound;
-//! * [`server`] — the daemon itself: per-request
+//! * [`server`] — the daemon itself: a build lane for requests that may
+//!   compute an ordering or relabel a layout and a run lane for kernels
+//!   over resident layouts, so cached runs never wait behind a reorder;
+//!   per-request
 //!   [`Budget`](gorder_core::budget::Budget) deadlines walking the
 //!   degradation ladder (order cache → full computation → budgeted
 //!   anytime result → original order), a per-request panic ladder

@@ -1,6 +1,17 @@
-//! The daemon: a bounded worker pool behind an admission queue, serving
-//! ordering/kernel requests over pre-loaded datasets with explicit
-//! degradation.
+//! The daemon: two bounded worker lanes, each behind its own admission
+//! queue, serving ordering/kernel requests over pre-loaded datasets with
+//! explicit degradation.
+//!
+//! A work request is routed to one lane at admission. The **build lane**
+//! takes every request that may compute a permutation or relabel a
+//! layout: `order`, and `run`/`simulate` whose ordering identity has no
+//! resident layout. The **run lane** takes kernels over the original
+//! graph or a resident layout, so a cached run (a few milliseconds) never
+//! queues behind a reorder (tens to hundreds). Each lane has
+//! `workers` threads and a `queue_cap` bound of its own. Routing only
+//! peeks at the layout LRU; a layout evicted between routing and
+//! processing is rebuilt on the run lane, so the lane never changes an
+//! answer, only where it waits.
 //!
 //! Every work request is answered from exactly one **tier** of the
 //! degradation ladder, named in the response:
@@ -71,9 +82,9 @@ pub const LATENCY_BOUNDS: [f64; 5] = [0.001, 0.01, 0.1, 1.0, 10.0];
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Worker pool size (bounded concurrency).
+    /// Worker threads per lane (bounded concurrency).
     pub workers: usize,
-    /// Admission queue depth cap; beyond it requests are shed.
+    /// Admission queue depth cap per lane; beyond it requests are shed.
     pub queue_cap: usize,
     /// Dataset scale factor for the pre-loaded graphs.
     pub scale: f64,
@@ -136,6 +147,33 @@ const LAYOUT_EVICTIONS: &str = "serve.layout.evictions";
 /// Registry gauge of the layout LRU's resident bytes.
 const LAYOUT_RESIDENT: &str = "serve.layout.resident_bytes";
 
+/// One admission queue and the worker threads that drain it, with the
+/// registry names under which `stats` shows it.
+struct Lane {
+    queue: Queue<Job>,
+    /// Gauge of the queue's backlog.
+    depth_gauge: &'static str,
+    /// Counter of the jobs the lane admitted.
+    jobs_counter: &'static str,
+}
+
+impl Lane {
+    fn new(cap: usize, depth_gauge: &'static str, jobs_counter: &'static str) -> Lane {
+        // Registered at zero so `stats` lists them before the first request.
+        gorder_obs::global().counter_add(jobs_counter, 0);
+        gorder_obs::global().gauge_set(depth_gauge, 0.0);
+        Lane {
+            queue: Queue::new(cap),
+            depth_gauge,
+            jobs_counter,
+        }
+    }
+
+    fn publish_depth(&self, depth: usize) {
+        gorder_obs::global().gauge_set(self.depth_gauge, depth as f64);
+    }
+}
+
 /// A pre-loaded dataset: the graph, shared by every request over its
 /// original labels, and its [`graph_digest`], computed once at bind so
 /// no request hashes the graph.
@@ -175,7 +213,10 @@ pub struct Server {
     cache: Option<OrderCache>,
     layouts: LayoutCache,
     flights: SingleFlight<OrderOutcome>,
-    queue: Queue<Job>,
+    /// Kernels over the original graph or a resident layout.
+    run_lane: Lane,
+    /// Everything that may compute a permutation or relabel a layout.
+    build_lane: Lane,
     draining: AtomicBool,
     drain_deadline: Mutex<Option<Instant>>,
     active: Mutex<Vec<(u64, Budget)>>,
@@ -242,7 +283,7 @@ impl Server {
                         names.join("+")
                     ),
                 );
-                manifest.threads = cfg.workers as u64;
+                manifest.threads = 2 * cfg.workers as u64;
                 sink.manifest(&manifest)?;
                 Some(sink)
             }
@@ -256,7 +297,8 @@ impl Server {
             cache,
             layouts: LayoutCache::new(layout_bound),
             flights: SingleFlight::new(),
-            queue: Queue::new(queue_cap),
+            run_lane: Lane::new(queue_cap, "serve.queue_depth", "serve.jobs.run"),
+            build_lane: Lane::new(queue_cap, "serve.build_queue_depth", "serve.jobs.build"),
             draining: AtomicBool::new(false),
             drain_deadline: Mutex::new(None),
             active: Mutex::new(Vec::new()),
@@ -329,14 +371,17 @@ impl Server {
                 }
             });
 
-            // Worker pool: bounded concurrency on the engine's
+            // Both lanes' workers: bounded concurrency on the engine's
             // panic-isolated task runner.
+            let workers = self.cfg.workers.max(1);
             let outcomes = run_tasks_outcomes(
-                (0..self.cfg.workers.max(1))
-                    .map(|_| {
-                        || {
-                            while let Some(job) = self.queue.pop() {
-                                let resp = self.handle_job(&job);
+                [&self.run_lane, &self.build_lane]
+                    .into_iter()
+                    .flat_map(|lane| std::iter::repeat_n(lane, workers))
+                    .map(|lane| {
+                        move || {
+                            while let Some(job) = lane.queue.pop() {
+                                let resp = self.handle_job(lane, &job);
                                 self.answered.fetch_add(1, Ordering::Relaxed);
                                 let _ = job.reply.send(resp);
                             }
@@ -381,7 +426,8 @@ impl Server {
         }
         *self.drain_deadline.lock().expect("drain deadline lock") =
             Some(Instant::now() + self.cfg.drain_grace);
-        self.queue.close();
+        self.run_lane.queue.close();
+        self.build_lane.queue.close();
     }
 
     /// One connection: read frames until EOF or drain, answer each with
@@ -456,9 +502,11 @@ impl Server {
         match req {
             Request::Health => {
                 let report = format!(
-                    "ok: {} datasets, queue {}/{}, draining={}",
+                    "ok: {} datasets, run queue {}/{}, build queue {}/{}, draining={}",
                     self.datasets.len(),
-                    self.queue.depth(),
+                    self.run_lane.queue.depth(),
+                    self.cfg.queue_cap,
+                    self.build_lane.queue.depth(),
                     self.cfg.queue_cap,
                     self.draining()
                 );
@@ -498,6 +546,7 @@ impl Server {
                     self.trace_serve(control_event(op, "error", 0.0));
                     return error_response(op, "server is draining");
                 }
+                let lane = self.lane_for(op, &spec);
                 let (tx, rx) = mpsc::channel();
                 let job = Job {
                     spec,
@@ -505,10 +554,11 @@ impl Server {
                     enqueued: Instant::now(),
                     reply: tx,
                 };
-                match self.queue.try_enqueue(job) {
+                match lane.queue.try_enqueue(job) {
                     Ok(depth) => {
                         self.accepted.fetch_add(1, Ordering::Relaxed);
-                        gorder_obs::global().gauge_set("serve.queue_depth", depth as f64);
+                        gorder_obs::global().counter_add(lane.jobs_counter, 1);
+                        lane.publish_depth(depth);
                         match rx.recv() {
                             Ok(resp) => resp,
                             Err(_) => {
@@ -536,13 +586,39 @@ impl Server {
         }
     }
 
+    /// The lane a work request waits in: the build lane for `order` and
+    /// for runs whose ordering identity has no resident layout, the run
+    /// lane otherwise. Unknown names go to the run lane, which rejects
+    /// them at once, and so does a request whose ordering panics on
+    /// construction (e.g. Gorder with window 0), which the run lane's
+    /// panic ladder answers. The layout peek counts no hit or miss;
+    /// `process` makes the one counted lookup.
+    fn lane_for(&self, op: &str, spec: &WorkSpec) -> &Lane {
+        if op == "order" {
+            return &self.build_lane;
+        }
+        let resident = catch_unwind(AssertUnwindSafe(|| {
+            match self.dataset(spec).and_then(|ds| ordering_key(ds, spec)) {
+                Ok(Some((_, key))) => self.layouts.contains(&key.identity()),
+                Ok(None) | Err(_) => true,
+            }
+        }))
+        .unwrap_or(true);
+        if resident {
+            &self.run_lane
+        } else {
+            &self.build_lane
+        }
+    }
+
     /// The per-request panic ladder: normal attempt → serial retry
     /// flagged `degraded_serial` → structured error.
-    fn handle_job(&self, job: &Job) -> String {
+    fn handle_job(&self, lane: &Lane, job: &Job) -> String {
         let queue_secs = job.enqueued.elapsed().as_secs_f64();
-        gorder_obs::global().gauge_set("serve.queue_depth", self.queue.depth() as f64);
-        faults::slow_cell("serve.slow");
+        lane.publish_depth(lane.queue.depth());
         let t = Instant::now();
+        // Inside the timed span: an injected slow handler is service time.
+        faults::slow_cell("serve.slow");
         let first = catch_unwind(AssertUnwindSafe(|| {
             faults::worker_panic("serve.worker");
             self.process(job.op, &job.spec, job.spec.threads, false)
@@ -613,24 +689,11 @@ impl Server {
         threads: u32,
         serial_retry: bool,
     ) -> Result<Processed, String> {
-        let ds = self.datasets.get(&spec.dataset).ok_or_else(|| {
-            format!(
-                "unknown dataset {:?}; loaded: {:?}",
-                spec.dataset,
-                self.dataset_names()
-            )
-        })?;
+        let ds = self.dataset(spec)?;
         let threads = if serial_retry { 1 } else { threads };
-        let Some(name) = &spec.ordering else {
+        let (Some(name), Some((o, key))) = (&spec.ordering, ordering_key(ds, spec)?) else {
             return self.execute(op, spec, &ds.graph, "full", threads);
         };
-        let o = gorder_cli::ordering_by_name(name, spec.window, spec.seed).ok_or_else(|| {
-            format!(
-                "unknown ordering {name:?}; known: {:?}",
-                gorder_cli::ordering_names()
-            )
-        })?;
-        let key = CacheKey::with_digest(ds.digest, o.as_ref(), spec.seed);
         let identity = key.identity();
         let wants_layout = op != "order";
         if wants_layout {
@@ -858,10 +921,13 @@ impl Server {
         b
     }
 
-    fn dataset_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.datasets.keys().map(String::as_str).collect();
-        names.sort_unstable();
-        names
+    /// The loaded dataset `spec` names.
+    fn dataset(&self, spec: &WorkSpec) -> Result<&Dataset, String> {
+        self.datasets.get(&spec.dataset).ok_or_else(|| {
+            let mut names: Vec<&str> = self.datasets.keys().map(String::as_str).collect();
+            names.sort_unstable();
+            format!("unknown dataset {:?}; loaded: {names:?}", spec.dataset)
+        })
     }
 
     fn trace_serve(&self, event: ServeEvent) {
@@ -884,6 +950,25 @@ impl Server {
             }
         }
     }
+}
+
+/// An ordering a request names, with its cache key over the dataset.
+type KeyedOrdering = (Box<dyn OrderingAlgorithm>, CacheKey);
+
+/// The ordering `spec` names over `ds`, and its cache key; `None` when
+/// it names no ordering.
+fn ordering_key(ds: &Dataset, spec: &WorkSpec) -> Result<Option<KeyedOrdering>, String> {
+    let Some(name) = &spec.ordering else {
+        return Ok(None);
+    };
+    let o = gorder_cli::ordering_by_name(name, spec.window, spec.seed).ok_or_else(|| {
+        format!(
+            "unknown ordering {name:?}; known: {:?}",
+            gorder_cli::ordering_names()
+        )
+    })?;
+    let key = CacheKey::with_digest(ds.digest, o.as_ref(), spec.seed);
+    Ok(Some((o, key)))
 }
 
 struct Processed {

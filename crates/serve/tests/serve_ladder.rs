@@ -10,7 +10,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use gorder_cli::remote::{call, RemoteError, RemoteRequest, RetryPolicy};
 use gorder_serve::server::{DrainSummary, Server, ServerConfig};
@@ -332,6 +332,142 @@ fn sigterm_mid_flight_drains_without_losing_accepted_requests() {
         summary.accepted, summary.answered,
         "drain answered everything it accepted: {summary:?}"
     );
+}
+
+/// Waits until the registry counter `name` exceeds `base`.
+fn await_counter(name: &str, base: u64) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while gorder_obs::global().counter(name) <= base {
+        assert!(Instant::now() < deadline, "{name} stayed at {base}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// `(op, queue_secs, seconds)` of every work record in a serve trace.
+fn work_records(trace: &std::path::Path) -> Vec<(String, f64, f64)> {
+    use gorder_obs::json::{parse_object, parse_string};
+    std::fs::read_to_string(trace)
+        .unwrap()
+        .lines()
+        .filter(|l| l.contains("\"kind\":\"serve\""))
+        .filter_map(|l| {
+            let obj = parse_object(l).unwrap();
+            let num = |k: &str| obj[k].parse::<f64>().unwrap();
+            let op = parse_string(&obj["op"]).unwrap();
+            matches!(op.as_str(), "order" | "run").then(|| (op, num("queue_secs"), num("seconds")))
+        })
+        .collect()
+}
+
+#[test]
+fn a_plain_run_never_queues_behind_a_build() {
+    let _guard = fault_lock();
+    let _disarm = Disarm;
+    let dir = tmpdir("lanes");
+    let trace = dir.join("trace.jsonl");
+    // The first job handled, the build, holds its worker 1.5 s.
+    gorder_obs::faults::arm_from_spec("serve.slow=1,slow_ms=1500").unwrap();
+    let mut cfg = test_config();
+    cfg.workers = 1;
+    cfg.trace_path = Some(trace.clone());
+    let server = Running::start(cfg);
+    let addr = server.addr();
+
+    let build = "{\"op\":\"order\",\"dataset\":\"wiki\",\"ordering\":\"RCM\"}";
+    let run = "{\"op\":\"run\",\"dataset\":\"wiki\",\"algo\":\"BFS\"}";
+    let answered = |line: &'static str| {
+        let addr = addr.clone();
+        move || (raw_request(&addr, line), Instant::now())
+    };
+    let slowed = gorder_obs::global().counter("faults.fired.serve.slow");
+    let ((build_reply, build_done), (run_reply, run_done)) = std::thread::scope(|s| {
+        let b = s.spawn(answered(build));
+        // The run is sent once the build holds the build lane's worker.
+        await_counter("faults.fired.serve.slow", slowed);
+        let r = s.spawn(answered(run));
+        (b.join().unwrap(), r.join().unwrap())
+    });
+    assert!(build_reply.contains("\"status\":\"ok\""), "{build_reply}");
+    assert!(run_reply.contains("\"status\":\"ok\""), "{run_reply}");
+    assert!(
+        run_done < build_done,
+        "the run was answered before the build"
+    );
+
+    server.sigterm();
+    let summary = server.join();
+    assert_eq!(summary.accepted, summary.answered, "{summary:?}");
+    let records = work_records(&trace);
+    let find = |op: &str| records.iter().find(|r| r.0 == op).unwrap().clone();
+    let ((_, _, build_secs), (_, run_queue, _)) = (find("order"), find("run"));
+    assert!(
+        build_secs >= 1.5,
+        "the slow build is service time: {records:?}"
+    );
+    assert!(
+        run_queue < build_secs / 10.0,
+        "the run waited {run_queue} s behind a {build_secs} s build"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sigterm_with_both_lanes_busy_answers_every_accepted_request() {
+    let _guard = fault_lock();
+    let _disarm = Disarm;
+    gorder_obs::faults::arm_from_spec("serve.slow=1+,slow_ms=150").unwrap();
+    let mut cfg = test_config();
+    cfg.workers = 1;
+    cfg.queue_cap = 4;
+    let server = Running::start(cfg);
+    let addr = server.addr();
+    let reg = gorder_obs::global();
+    let jobs = |lane: &str| reg.counter(&format!("serve.jobs.{lane}"));
+    let (runs, builds) = (jobs("run"), jobs("build"));
+
+    let order = "{\"op\":\"order\",\"dataset\":\"wiki\",\"ordering\":\"Original\"}";
+    let run = "{\"op\":\"run\",\"dataset\":\"wiki\",\"algo\":\"NQ\"}";
+    let replies: Vec<String> = std::thread::scope(|s| {
+        let handles: Vec<_> = [order, run, order, run, order, run]
+            .into_iter()
+            .map(|line| s.spawn(|| raw_request(&addr, line)))
+            .collect();
+        // Pull the plug once each lane has admitted work.
+        await_counter("serve.jobs.run", runs);
+        await_counter("serve.jobs.build", builds);
+        server.sigterm();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for r in &replies {
+        assert!(r.contains("\"status\":"), "structured reply: {r:?}");
+    }
+    let summary = server.join();
+    assert_eq!(
+        summary.accepted, summary.answered,
+        "drain answered everything it accepted: {summary:?}"
+    );
+}
+
+#[test]
+fn an_ordering_that_panics_while_routing_is_still_answered() {
+    let _guard = fault_lock();
+    let server = Running::start(test_config());
+    let addr = server.addr();
+    // Gorder rejects window 0 with a panic, wherever it is constructed.
+    let line = "{\"op\":\"run\",\"dataset\":\"wiki\",\"ordering\":\"Gorder\",\
+                \"algo\":\"BFS\",\"window\":0}";
+    let reply = raw_request(&addr, line);
+    assert!(reply.contains("\"status\":\"error\""), "{reply}");
+    assert!(reply.contains("panicked twice"), "{reply}");
+    let health = call(
+        &addr,
+        &RemoteRequest::control("health"),
+        &RetryPolicy::default(),
+    );
+    assert_eq!(health.unwrap().status, "ok", "the server lives on");
+    server.sigterm();
+    let summary = server.join();
+    assert_eq!(summary.accepted, summary.answered, "{summary:?}");
 }
 
 #[test]
