@@ -25,7 +25,9 @@
 //!   order, so the counters are the serial ones;
 //! * [`trace`] — a probe that runs any `gorder-engine` kernel through
 //!   the hierarchy: the real computation, with every data reference it
-//!   makes fed to the cache model.
+//!   makes fed to the cache model;
+//! * [`outcome`] — one kernel run by name, on the wall clock or through
+//!   the model, as the [`KernelOutcome`] the CLI and the daemon render.
 //!
 //! Because a replay *is* the engine kernel, walking the same CSR arrays
 //! in the same order as a wall-clock run, a node reordering changes the
@@ -34,11 +36,13 @@
 
 pub mod hierarchy;
 pub mod level;
+pub mod outcome;
 pub mod stall;
 pub mod trace;
 pub mod tracer;
 
 pub use hierarchy::{CacheHierarchy, CacheStats, HierarchyConfig};
 pub use level::{CacheLevel, LevelConfig, LevelStats};
+pub use outcome::{kernel_label, run_named, CacheProfile, KernelOutcome, Measure, UnknownKernel};
 pub use stall::{StallBreakdown, StallModel};
 pub use tracer::{CounterSnapshot, Tracer};

@@ -17,22 +17,17 @@
 //! Formats are chosen by extension: `.mtx` Matrix Market, `.bin` the
 //! compact binary format, anything else a whitespace edge list.
 
-use gorder_cachesim::trace::replay_with_stats;
-use gorder_cachesim::{CacheHierarchy, HierarchyConfig, StallModel, Tracer};
+use gorder_cachesim::outcome::{kernel_label, run_named, KernelOutcome, Measure};
 use gorder_core::budget::{Budget, DegradeReason, ExecOutcome};
-use gorder_core::GorderBuilder;
-use gorder_engine::{ExecPlan, KernelCtx, KernelStats, NoProbe};
 use gorder_graph::io::GraphIoError;
 use gorder_graph::stats::{degree_gini, GraphStats};
 use gorder_graph::Permutation;
 use gorder_graph::{io, io_mm, Graph};
-use gorder_obs::OrderEvent;
-use gorder_orders::{run_ordering, CacheKey, OrderCache, OrderingAlgorithm};
+use gorder_obs::{OrderEvent, TraceEvent};
+use gorder_orders::{ordering_by_name, run_ordering, CacheKey, ExecPlan, OrderCache};
 use std::borrow::Cow;
 use std::path::Path;
 use std::time::Duration;
-
-pub mod remote;
 
 /// Structured CLI failure. Each variant maps to a distinct process exit
 /// code so scripts can tell bad usage from bad input from exhausted
@@ -80,95 +75,43 @@ impl From<GraphIoError> for CliError {
     }
 }
 
-/// A successful command body: the report text plus a marker when any
-/// budgeted stage returned a degraded (anytime) result. Degradation is
-/// still success — the output is valid — but the process exits 3 and the
-/// reason goes to stderr, so callers can notice.
+/// A finished `run`/`simulate`: the kernel's outcome, the `--method`
+/// ordering its graph was laid out with, and a marker when that ordering
+/// ran out of budget partway. Degradation is still success — the output
+/// is valid — but the process exits 3 and the reason goes to stderr, so
+/// callers can notice.
 #[derive(Debug)]
 pub struct CmdOutput {
-    /// Human-readable one-line report.
-    pub report: String,
-    /// The result's checksum: the kernel's for `run`, the cache replay's
-    /// for `simulate` (relabel-invariant for the invariant kernels).
-    pub checksum: u64,
+    /// The kernel run.
+    pub outcome: KernelOutcome,
+    /// The ordering as named on the command line; `None` is the input's
+    /// own order.
+    pub ordering: Option<String>,
     /// Set when a budgeted stage returned an anytime (partial) result.
     pub degraded: Option<DegradeReason>,
-    /// One JSON line of per-kernel execution metrics (`run`/`simulate`
-    /// commands only; printed by the binary under `--stats`).
-    pub stats_json: Option<String>,
-    /// Structured trace events for this command (`run`/`simulate` emit
-    /// one kernel event); the binary writes them under `--trace-out`,
-    /// after the manifest it builds from the flags.
-    pub trace_events: Vec<gorder_obs::TraceEvent>,
 }
 
-/// Renders one JSON object line of run metadata + [`KernelStats`] via the
-/// shared `gorder_obs::json` writer (same escaper and number formatting
-/// as the trace sink, so the two surfaces never drift).
-///
-/// `engine` is true for the nine engine-backed kernels, whose counters
-/// are real; extension algorithms report zeroed stats.
-fn stats_json_line(
-    algo: &str,
-    ordering: Option<&str>,
-    checksum: u64,
-    seconds: f64,
-    stats: &KernelStats,
-) -> String {
-    gorder_obs::json::JsonObject::new()
-        .str("algo", algo)
-        .opt_str("ordering", ordering)
-        .u64("checksum", checksum)
-        .f64("seconds", seconds)
-        .bool("engine", gorder_engine::is_kernel(algo))
-        .u64("iterations", stats.iterations)
-        .u64("edges_relaxed", stats.edges_relaxed)
-        .u64("frontier_pushes", stats.frontier_pushes)
-        .u64("frontier_peak", stats.frontier_peak)
-        .f64("init_secs", stats.init_secs)
-        .f64("compute_secs", stats.compute_secs)
-        .f64("finish_secs", stats.finish_secs)
-        .u64("threads_used", u64::from(stats.threads_used))
-        .f64_array("thread_busy_secs", &stats.thread_busy_secs)
-        .bool("degraded_serial", stats.degraded_serial)
-        .finish()
-}
+impl CmdOutput {
+    /// The human-readable one-line report.
+    pub fn report(&self) -> String {
+        let layout = match (&self.ordering, self.degraded) {
+            (None, _) => "original order".to_string(),
+            (Some(name), None) => format!("{name} order"),
+            (Some(name), Some(reason)) => format!("{name} order (degraded: {reason})"),
+        };
+        self.outcome.report(&layout)
+    }
 
-/// Builds the trace twin of the stats line: a structured
-/// [`KernelEvent`](gorder_obs::KernelEvent) with the same fields, keyed
-/// for the JSONL sink.
-fn kernel_trace_event(
-    algo: &str,
-    ordering: Option<&str>,
-    checksum: u64,
-    seconds: f64,
-    threads: u32,
-    stats: &KernelStats,
-) -> gorder_obs::TraceEvent {
-    let engine = if !gorder_engine::is_kernel(algo) {
-        "extension"
-    } else if threads > 1 {
-        "parallel"
-    } else {
-        "serial"
-    };
-    gorder_obs::TraceEvent::Kernel(gorder_obs::KernelEvent {
-        algo: algo.to_string(),
-        ordering: ordering.unwrap_or("Original").to_string(),
-        checksum,
-        seconds,
-        engine: engine.to_string(),
-        iterations: stats.iterations,
-        edges_relaxed: stats.edges_relaxed,
-        frontier_pushes: stats.frontier_pushes,
-        frontier_peak: stats.frontier_peak,
-        init_secs: stats.init_secs,
-        compute_secs: stats.compute_secs,
-        finish_secs: stats.finish_secs,
-        threads_used: u64::from(stats.threads_used),
-        thread_busy_secs: stats.thread_busy_secs.iter().sum(),
-        degraded_serial: stats.degraded_serial,
-    })
+    /// The `--stats` JSON line.
+    pub fn stats_line(&self) -> String {
+        self.outcome.stats_line(self.ordering.as_deref())
+    }
+
+    /// The `kernel` trace record, written after the manifest under
+    /// `--trace-out`.
+    pub fn event(&self) -> TraceEvent {
+        TraceEvent::Kernel(self.outcome.event(self.ordering.as_deref()))
+    }
 }
 
 /// `validate-trace` subcommand: checks that every line of the file at
@@ -256,35 +199,6 @@ pub fn save(g: &Graph, path: &Path) -> Result<(), GraphIoError> {
     }
 }
 
-/// Resolves an ordering by name; `Gorder` honours `--window`.
-pub fn ordering_by_name(name: &str, window: u32, seed: u64) -> Option<Box<dyn OrderingAlgorithm>> {
-    if name.eq_ignore_ascii_case("gorder") {
-        return Some(Box::new(
-            gorder_orders::gorder_impl::GorderOrdering::from_gorder(
-                GorderBuilder::new().window(window).build(),
-            ),
-        ));
-    }
-    gorder_orders::extensions::extended(seed)
-        .into_iter()
-        .find(|o| o.name().eq_ignore_ascii_case(name))
-}
-
-/// Names of every ordering the CLI accepts.
-pub fn ordering_names() -> Vec<&'static str> {
-    gorder_orders::extensions::extended(0)
-        .iter()
-        .map(|o| o.name())
-        .collect()
-}
-
-/// Names of every algorithm the CLI accepts.
-pub fn algorithm_names() -> Vec<&'static str> {
-    let mut names = gorder_engine::kernel_names();
-    names.extend(gorder_engine::EXTENSION_KERNELS);
-    names
-}
-
 /// `stats` subcommand: one human-readable block.
 pub fn stats_report(g: &Graph) -> String {
     let s = GraphStats::compute(g);
@@ -310,21 +224,6 @@ pub fn stats_report(g: &Graph) -> String {
     )
 }
 
-/// Computes the named ordering under an optional timeout. A degraded
-/// result (the anytime prefix completed by a cheaper fallback) is still a
-/// valid permutation and is returned alongside its reason; an empty-handed
-/// timeout or failure becomes a [`CliError`].
-pub fn compute_ordering_budgeted(
-    g: &Graph,
-    method: &str,
-    window: u32,
-    seed: u64,
-    timeout: Option<Duration>,
-) -> Result<(Permutation, Option<DegradeReason>), CliError> {
-    resolve_ordering_cached(g, method, window, seed, timeout, None, None)
-        .map(|r| (r.perm, r.degraded))
-}
-
 /// One resolved ordering: the permutation, the degradation marker, and
 /// the trace-ready [`OrderEvent`] describing how it was obtained.
 pub struct ResolvedOrdering {
@@ -336,12 +235,15 @@ pub struct ResolvedOrdering {
     pub event: OrderEvent,
 }
 
-/// [`compute_ordering_budgeted`] through the unified runner
-/// ([`run_ordering`]) with an optional content-addressed permutation
-/// cache: a hit skips the computation entirely, a completed miss is
-/// stored back (degraded permutations are never cached — they depend on
-/// the budget, not just the key). `dataset` labels the resulting
-/// [`OrderEvent`] (the CLI passes the input path).
+/// Resolves the named ordering of `g` under an optional timeout through
+/// the unified runner ([`run_ordering`]) and an optional
+/// content-addressed permutation cache: a hit skips the computation
+/// entirely, a completed miss is stored back (degraded permutations are
+/// never cached — they depend on the budget, not just the key). A
+/// degraded result (the anytime prefix completed by a cheaper fallback)
+/// is still a valid permutation and is returned with its reason; an
+/// empty-handed timeout or failure becomes a [`CliError`]. `dataset`
+/// labels the resulting [`OrderEvent`] (the CLI passes the input path).
 pub fn resolve_ordering_cached(
     g: &Graph,
     method: &str,
@@ -351,32 +253,11 @@ pub fn resolve_ordering_cached(
     cache: Option<&OrderCache>,
     dataset: Option<&str>,
 ) -> Result<ResolvedOrdering, CliError> {
-    let o = ordering_by_name(method, window, seed).ok_or_else(|| {
-        CliError::Usage(format!(
-            "unknown ordering {method:?}; known: {:?}",
-            ordering_names()
-        ))
-    })?;
+    let o = ordering_by_name(method, window, seed).map_err(CliError::Usage)?;
     let key = CacheKey::for_ordering(g, o.as_ref(), seed);
-    resolve_ordering_with_budget(g, o.as_ref(), &key, &budget_from(timeout), cache, dataset)
-}
-
-/// Resolves ordering `o` of `g` under the caller's `key` (which must be
-/// `o`'s key for `g`; holders of a memoized digest build it with
-/// [`CacheKey::with_digest`], so nothing here hashes the graph) and a
-/// caller-owned [`Budget`], so long-lived callers (the serve daemon) can
-/// hold a clone and cancel the resolution mid-flight — e.g. when a drain
-/// grace period expires.
-pub fn resolve_ordering_with_budget(
-    g: &Graph,
-    o: &dyn OrderingAlgorithm,
-    key: &CacheKey,
-    budget: &Budget,
-    cache: Option<&OrderCache>,
-    dataset: Option<&str>,
-) -> Result<ResolvedOrdering, CliError> {
-    let (outcome, event) = gorder_orders::resolve_ordering(key, g.n(), cache, dataset, || {
-        run_ordering(o, g, gorder_orders::ExecPlan::Serial, budget)
+    let budget = budget_from(timeout);
+    let (outcome, event) = gorder_orders::resolve_ordering(&key, g.n(), cache, dataset, || {
+        run_ordering(o.as_ref(), g, ExecPlan::Serial, &budget)
     });
     let (perm, degraded) = match outcome {
         ExecOutcome::Completed(perm) => (perm, None),
@@ -391,51 +272,13 @@ pub fn resolve_ordering_with_budget(
     })
 }
 
-/// Resolves and applies the optional `--method` ordering under an optional
-/// timeout, returning the graph to run on (borrowed as-is without an
-/// ordering, relabelled otherwise), a report note, and the degradation
-/// marker if the ordering ran out of budget partway.
-fn ordered_graph<'g>(
-    g: &'g Graph,
-    ordering: Option<&str>,
-    window: u32,
-    seed: u64,
-    timeout: Option<Duration>,
-) -> Result<(Cow<'g, Graph>, String, Option<DegradeReason>), CliError> {
-    match ordering {
-        None => Ok((Cow::Borrowed(g), "original order".to_string(), None)),
-        Some(name) => {
-            let (perm, degraded) = compute_ordering_budgeted(g, name, window, seed, timeout)?;
-            let note = match degraded {
-                None => format!("{name} order"),
-                Some(reason) => format!("{name} order (degraded: {reason})"),
-            };
-            Ok((Cow::Owned(g.relabel(&perm)), note, degraded))
-        }
-    }
-}
-
-/// `run` subcommand: execute an algorithm (optionally after reordering),
-/// returning a report line. Unbudgeted compatibility wrapper around
-/// [`run_algorithm_budgeted`].
-pub fn run_algorithm(
-    g: &Graph,
-    algo: &str,
-    ordering: Option<&str>,
-    window: u32,
-    seed: u64,
-) -> Result<String, String> {
-    run_algorithm_budgeted(g, algo, ordering, window, seed, None, 1)
-        .map(|o| o.report)
-        .map_err(|e| e.to_string())
-}
-
-/// `run` subcommand under an optional `--timeout`: the ordering phase is
-/// budgeted; a degraded ordering still runs the algorithm and is flagged
-/// in [`CmdOutput::degraded`]. `threads` schedules the engine-backed
-/// kernels' parallel sections (`--threads`); results are byte-identical
-/// to serial, only the timing and the `threads_used`/`thread_busy_secs`
-/// stats fields change.
+/// `run` and `simulate` subcommands: runs kernel `algo` over `g`, first
+/// relabelled by the optional `ordering` (computed under the optional
+/// `timeout`; a degraded ordering still runs the kernel and is flagged in
+/// [`CmdOutput::degraded`]). `measure` is the wall clock on `--threads`
+/// workers for `run` (results are byte-identical to serial, only the
+/// timing and the `threads_used`/`thread_busy_secs` stats change) and
+/// the cache model for `simulate`.
 #[allow(clippy::too_many_arguments)]
 pub fn run_algorithm_budgeted(
     g: &Graph,
@@ -444,94 +287,22 @@ pub fn run_algorithm_budgeted(
     window: u32,
     seed: u64,
     timeout: Option<Duration>,
-    threads: u32,
+    measure: Measure,
 ) -> Result<CmdOutput, CliError> {
-    let name = gorder_engine::by_name::<NoProbe>(algo)
-        .map(|k| k.name())
-        .ok_or_else(|| {
-            CliError::Usage(format!(
-                "unknown algorithm {algo:?}; known: {:?}",
-                algorithm_names()
-            ))
-        })?;
-    let (graph, note, degraded) = ordered_graph(g, ordering, window, seed, timeout)?;
-    let ctx = KernelCtx {
-        seed,
-        ..Default::default()
+    // Resolve the kernel first: a typo must not cost an ordering.
+    let algo = kernel_label(algo).map_err(|e| CliError::Usage(e.to_string()))?;
+    let (graph, degraded) = match ordering {
+        None => (Cow::Borrowed(g), None),
+        Some(name) => {
+            let r = resolve_ordering_cached(g, name, window, seed, timeout, None, None)?;
+            (Cow::Owned(g.relabel(&r.perm)), r.degraded)
+        }
     };
-    let t = std::time::Instant::now();
-    let run = gorder_engine::run_by_name_plan(name, &graph, &ctx, ExecPlan::with_threads(threads))
-        .expect("resolved above");
-    let (checksum, stats) = (run.checksum, run.stats);
-    let seconds = t.elapsed().as_secs_f64();
+    let outcome = run_named(algo, &graph, seed, measure).expect("kernel resolved above");
     Ok(CmdOutput {
-        report: format!("{algo} over {note}: checksum {checksum:#x} in {seconds:.3}s"),
-        checksum,
+        outcome,
+        ordering: ordering.map(str::to_string),
         degraded,
-        stats_json: Some(stats_json_line(name, ordering, checksum, seconds, &stats)),
-        trace_events: vec![kernel_trace_event(
-            name, ordering, checksum, seconds, threads, &stats,
-        )],
-    })
-}
-
-/// `simulate` subcommand: cache profile of an algorithm under an ordering.
-/// Unbudgeted compatibility wrapper around [`simulate_algorithm_budgeted`].
-pub fn simulate_algorithm(
-    g: &Graph,
-    algo: &str,
-    ordering: Option<&str>,
-    window: u32,
-    seed: u64,
-) -> Result<String, String> {
-    simulate_algorithm_budgeted(g, algo, ordering, window, seed, None)
-        .map(|o| o.report)
-        .map_err(|e| e.to_string())
-}
-
-/// `simulate` subcommand under an optional `--timeout` on the ordering
-/// phase.
-pub fn simulate_algorithm_budgeted(
-    g: &Graph,
-    algo: &str,
-    ordering: Option<&str>,
-    window: u32,
-    seed: u64,
-    timeout: Option<Duration>,
-) -> Result<CmdOutput, CliError> {
-    let (graph, note, degraded) = ordered_graph(g, ordering, window, seed, timeout)?;
-    let ctx = KernelCtx {
-        pr_iterations: 5,
-        diameter_samples: 4,
-        seed,
-        ..Default::default()
-    };
-    let mut tracer = Tracer::new(CacheHierarchy::new(&HierarchyConfig::scaled_down()));
-    let t = std::time::Instant::now();
-    let (checksum, stats) =
-        replay_with_stats(algo, &graph, &mut tracer, &ctx).ok_or_else(|| {
-            CliError::Usage(format!(
-                "no replayer for {algo:?}; known: {:?}",
-                algorithm_names()
-            ))
-        })?;
-    let seconds = t.elapsed().as_secs_f64();
-    let s = tracer.stats();
-    let b = tracer.breakdown(&StallModel::skylake());
-    Ok(CmdOutput {
-        report: format!(
-            "{algo} over {note}: {:.1}M refs, L1-mr {:.1}%, cache-mr {:.1}%, stall share {:.0}%",
-            s.l1_refs as f64 / 1e6,
-            s.l1_miss_rate * 100.0,
-            s.cache_miss_rate * 100.0,
-            b.stall_fraction() * 100.0
-        ),
-        checksum,
-        degraded,
-        stats_json: Some(stats_json_line(algo, ordering, checksum, seconds, &stats)),
-        trace_events: vec![kernel_trace_event(
-            algo, ordering, checksum, seconds, 1, &stats,
-        )],
     })
 }
 
@@ -562,12 +333,12 @@ mod tests {
 
     #[test]
     fn ordering_resolution() {
-        assert!(ordering_by_name("Gorder", 5, 1).is_some());
-        assert!(ordering_by_name("gorder", 9, 1).is_some());
-        assert!(ordering_by_name("rcm", 5, 1).is_some());
-        assert!(ordering_by_name("DBG", 5, 1).is_some());
-        assert!(ordering_by_name("nope", 5, 1).is_none());
-        assert!(ordering_names().contains(&"SlashBurn"));
+        assert!(ordering_by_name("Gorder", 5, 1).is_ok());
+        assert!(ordering_by_name("gorder", 9, 1).is_ok());
+        assert!(ordering_by_name("rcm", 5, 1).is_ok());
+        assert!(ordering_by_name("DBG", 5, 1).is_ok());
+        assert!(ordering_by_name("nope", 5, 1).is_err());
+        assert!(gorder_orders::extended_names().contains(&"SlashBurn"));
     }
 
     #[test]
@@ -581,12 +352,26 @@ mod tests {
     #[test]
     fn run_and_simulate_work() {
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (0, 3)]);
-        let run = run_algorithm(&g, "BFS", Some("Gorder"), 5, 1).unwrap();
-        assert!(run.contains("BFS over Gorder order"));
-        let sim = simulate_algorithm(&g, "PR", None, 5, 1).unwrap();
-        assert!(sim.contains("L1-mr"));
-        assert!(run_algorithm(&g, "XX", None, 5, 1).is_err());
-        assert!(simulate_algorithm(&g, "PR", Some("zzz"), 5, 1).is_err());
+        let run = run_algorithm_budgeted(
+            &g,
+            "BFS",
+            Some("Gorder"),
+            5,
+            1,
+            None,
+            Measure::Wall { threads: 1 },
+        )
+        .unwrap();
+        assert!(run.report().contains("BFS over Gorder order"));
+        let sim = run_algorithm_budgeted(&g, "PR", None, 5, 1, None, Measure::Modelled).unwrap();
+        assert!(sim.report().contains("L1-mr"));
+        assert!(
+            run_algorithm_budgeted(&g, "XX", None, 5, 1, None, Measure::Wall { threads: 1 })
+                .is_err()
+        );
+        assert!(
+            run_algorithm_budgeted(&g, "PR", Some("zzz"), 5, 1, None, Measure::Modelled).is_err()
+        );
     }
 
     #[test]
@@ -615,11 +400,11 @@ mod tests {
             5,
             1,
             Some(Duration::from_secs(0)),
-            1,
+            Measure::Wall { threads: 1 },
         )
         .unwrap();
         assert!(out.degraded.is_some(), "zero budget must degrade");
-        assert!(out.report.contains("degraded"));
+        assert!(out.report().contains("degraded"));
     }
 
     #[test]
@@ -634,7 +419,7 @@ mod tests {
             5,
             1,
             Some(Duration::from_secs(0)),
-            1,
+            Measure::Wall { threads: 1 },
         ) {
             Err(CliError::TimedOut) => {}
             other => panic!("expected TimedOut, got {other:?}"),
@@ -644,19 +429,43 @@ mod tests {
     #[test]
     fn unlimited_budgeted_matches_unbudgeted() {
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (0, 3)]);
-        let plain = run_algorithm(&g, "NQ", Some("ChDFS"), 5, 1).unwrap();
-        let budgeted = run_algorithm_budgeted(&g, "NQ", Some("ChDFS"), 5, 1, None, 1).unwrap();
+        let plain = run_algorithm_budgeted(
+            &g,
+            "NQ",
+            Some("ChDFS"),
+            5,
+            1,
+            None,
+            Measure::Wall { threads: 1 },
+        )
+        .unwrap();
+        let hour = Some(Duration::from_secs(3600));
+        let budgeted = run_algorithm_budgeted(
+            &g,
+            "NQ",
+            Some("ChDFS"),
+            5,
+            1,
+            hour,
+            Measure::Wall { threads: 1 },
+        )
+        .unwrap();
         assert!(budgeted.degraded.is_none());
         // Reports match up to the timing suffix.
         let head = |s: &str| s.split(" in ").next().unwrap().to_string();
-        assert_eq!(head(&plain), head(&budgeted.report));
+        assert_eq!(head(&plain.report()), head(&budgeted.report()));
     }
 
     #[test]
-    fn compute_ordering_budgeted_unknown_is_usage() {
+    fn unknown_ordering_or_gorder_window_zero_is_usage() {
         let g = Graph::from_edges(2, &[(0, 1)]);
-        match compute_ordering_budgeted(&g, "nope", 5, 1, None) {
+        match resolve_ordering_cached(&g, "nope", 5, 1, None, None, None) {
             Err(CliError::Usage(msg)) => assert!(msg.contains("unknown ordering")),
+            Err(other) => panic!("expected Usage, got {other:?}"),
+            Ok(_) => panic!("expected Usage, got a permutation"),
+        }
+        match run_algorithm_budgeted(&g, "BFS", Some("Gorder"), 0, 1, None, Measure::Modelled) {
+            Err(CliError::Usage(msg)) => assert!(msg.contains("window"), "{msg}"),
             other => panic!("expected Usage, got {other:?}"),
         }
     }
@@ -687,8 +496,17 @@ mod tests {
     #[test]
     fn run_stats_json_is_valid_and_complete() {
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (0, 3)]);
-        let out = run_algorithm_budgeted(&g, "BFS", Some("Gorder"), 5, 1, None, 1).unwrap();
-        let line = out.stats_json.expect("run emits a stats line");
+        let out = run_algorithm_budgeted(
+            &g,
+            "BFS",
+            Some("Gorder"),
+            5,
+            1,
+            None,
+            Measure::Wall { threads: 1 },
+        )
+        .unwrap();
+        let line = out.stats_line();
         let obj = parse_json_object(&line).unwrap_or_else(|e| panic!("{e} in {line}"));
         for key in STATS_KEYS {
             assert!(obj.contains_key(key), "missing {key} in {line}");
@@ -711,8 +529,9 @@ mod tests {
         let mut edges: Vec<(u32, u32)> = (0..200u32).map(|u| (u, (u + 1) % 200)).collect();
         edges.extend((0..50u32).map(|u| (u * 4, (u * 7 + 3) % 200)));
         let g = Graph::from_edges(200, &edges);
-        let out = run_algorithm_budgeted(&g, "PR", None, 5, 1, None, 4).unwrap();
-        let line = out.stats_json.expect("run emits a stats line");
+        let out = run_algorithm_budgeted(&g, "PR", None, 5, 1, None, Measure::Wall { threads: 4 })
+            .unwrap();
+        let line = out.stats_line();
         let obj = parse_json_object(&line).unwrap_or_else(|e| panic!("{e} in {line}"));
         assert_eq!(obj["threads_used"], "4", "{line}");
         let busy = obj["thread_busy_secs"].trim_matches(['[', ']']);
@@ -724,16 +543,16 @@ mod tests {
     #[test]
     fn simulate_stats_json_covers_engine_and_extensions() {
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (0, 3)]);
-        let out = simulate_algorithm_budgeted(&g, "PR", None, 5, 1, None).unwrap();
-        let line = out.stats_json.expect("simulate emits a stats line");
+        let out = run_algorithm_budgeted(&g, "PR", None, 5, 1, None, Measure::Modelled).unwrap();
+        let line = out.stats_line();
         let obj = parse_json_object(&line).unwrap_or_else(|e| panic!("{e} in {line}"));
         assert_eq!(obj["ordering"], "null");
         assert_eq!(obj["engine"], "true");
         // simulate fixes pr_iterations at 5
         assert_eq!(obj["iterations"], "5");
 
-        let out = simulate_algorithm_budgeted(&g, "WCC", None, 5, 1, None).unwrap();
-        let obj = parse_json_object(&out.stats_json.unwrap()).unwrap();
+        let out = run_algorithm_budgeted(&g, "WCC", None, 5, 1, None, Measure::Modelled).unwrap();
+        let obj = parse_json_object(&out.stats_line()).unwrap();
         assert_eq!(obj["engine"], "true");
         // one iterate per component (one here) plus the final root scan
         assert_eq!(obj["iterations"], "2");
@@ -743,22 +562,41 @@ mod tests {
     #[test]
     fn all_thirteen_kernels_resolve_case_insensitively() {
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (0, 3)]);
-        let names = algorithm_names();
+        let names = gorder_cachesim::outcome::kernel_labels();
         assert_eq!(names.len(), 13);
         for name in names {
             for spelling in [name.to_lowercase(), name.to_uppercase()] {
-                let run = run_algorithm_budgeted(&g, &spelling, None, 5, 1, None, 1)
-                    .unwrap_or_else(|e| panic!("run {spelling}: {e}"));
-                let obj = parse_json_object(&run.stats_json.unwrap()).unwrap();
+                let run = run_algorithm_budgeted(
+                    &g,
+                    &spelling,
+                    None,
+                    5,
+                    1,
+                    None,
+                    Measure::Wall { threads: 1 },
+                )
+                .unwrap_or_else(|e| panic!("run {spelling}: {e}"));
+                let obj = parse_json_object(&run.stats_line()).unwrap();
                 assert_eq!(obj["algo"], format!("\"{name}\""), "run {spelling}");
-                let sim = simulate_algorithm_budgeted(&g, &spelling, None, 5, 1, None)
-                    .unwrap_or_else(|e| panic!("simulate {spelling}: {e}"));
-                let obj = parse_json_object(&sim.stats_json.unwrap()).unwrap();
+                let sim =
+                    run_algorithm_budgeted(&g, &spelling, None, 5, 1, None, Measure::Modelled)
+                        .unwrap_or_else(|e| panic!("simulate {spelling}: {e}"));
+                let obj = parse_json_object(&sim.stats_line()).unwrap();
                 assert_ne!(obj["iterations"], "0", "simulate {spelling}");
+                assert_eq!(obj["algo"], format!("\"{name}\""), "simulate {spelling}");
+                assert!(
+                    sim.report().starts_with(&format!("{name} over")),
+                    "{spelling}"
+                );
+                match sim.event() {
+                    gorder_obs::TraceEvent::Kernel(k) => assert_eq!(k.algo, name),
+                    other => panic!("simulate emits a kernel event, got {other:?}"),
+                }
             }
         }
-        let out = run_algorithm_budgeted(&g, "WCC", None, 5, 1, None, 1).unwrap();
-        let obj = parse_json_object(&out.stats_json.unwrap()).unwrap();
+        let out = run_algorithm_budgeted(&g, "WCC", None, 5, 1, None, Measure::Wall { threads: 1 })
+            .unwrap();
+        let obj = parse_json_object(&out.stats_line()).unwrap();
         assert_ne!(obj["iterations"], "0", "WCC reports its engine iterations");
     }
 
@@ -768,14 +606,20 @@ mod tests {
         // event `run` produces + a registry snapshot, every line through
         // the same strict parser `validate-trace` and CI use.
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (0, 3)]);
-        let out = run_algorithm_budgeted(&g, "BFS", Some("Gorder"), 5, 1, None, 1).unwrap();
-        assert_eq!(out.trace_events.len(), 1, "run emits one kernel event");
+        let out = run_algorithm_budgeted(
+            &g,
+            "BFS",
+            Some("Gorder"),
+            5,
+            1,
+            None,
+            Measure::Wall { threads: 1 },
+        )
+        .unwrap();
         let mut sink = gorder_obs::TraceSink::new(Vec::new());
         sink.manifest(&gorder_obs::RunManifest::new("gorder-cli run", "test"))
             .unwrap();
-        for e in &out.trace_events {
-            sink.event(e).unwrap();
-        }
+        sink.event(&out.event()).unwrap();
         sink.metrics(&gorder_obs::global().snapshot()).unwrap();
         let text = String::from_utf8(sink.into_inner()).unwrap();
         let summary = gorder_obs::validate_jsonl(&text).unwrap_or_else(|e| panic!("{e}"));

@@ -6,14 +6,16 @@
 //! failed, 6 graph file unreadable/unwritable. 1 is left to panics so it
 //! never aliases a clean error.
 
+use gorder_cachesim::outcome::{kernel_labels, Measure};
 use gorder_cli::{
-    algorithm_names, load, ordering_names, remote, resolve_ordering_cached, run_algorithm_budgeted,
-    save, simulate_algorithm_budgeted, stats_report, validate_trace_file, CliError, CmdOutput,
-    ResolvedOrdering,
+    load, resolve_ordering_cached, run_algorithm_budgeted, save, stats_report, validate_trace_file,
+    CliError, ResolvedOrdering,
 };
 use gorder_core::budget::DegradeReason;
 use gorder_obs::{RunManifest, TraceEvent, TraceSink};
-use gorder_orders::OrderCache;
+use gorder_orders::{extended_names, OrderCache};
+use gorder_serve::client::{self, RemoteError, RetryPolicy};
+use gorder_serve::protocol::{Request, WorkSpec};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -202,12 +204,18 @@ fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
 /// Flags for `gorder-cli remote`: the request fields plus the retry
 /// schedule. Ordering reuses `--method` so local and remote invocations
 /// read the same.
-fn parse_remote_flags(
-    op: &str,
-    args: &[String],
-) -> Result<(remote::RemoteRequest, remote::RetryPolicy), CliError> {
-    let mut req = remote::RemoteRequest::control(op);
-    let mut policy = remote::RetryPolicy::default();
+fn parse_remote_flags(op: &str, args: &[String]) -> Result<(Request, RetryPolicy), CliError> {
+    let blank = WorkSpec {
+        dataset: String::new(),
+        ordering: None,
+        algo: None,
+        window: 5,
+        seed: 0,
+        timeout_ms: None,
+        threads: 1,
+    };
+    let mut spec = blank.clone();
+    let mut policy = RetryPolicy::default();
     let usage_err = |msg: &str| CliError::Usage(msg.to_string());
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -221,17 +229,17 @@ fn parse_remote_flags(
                 .map_err(|_| usage_err(&format!("flag {flag} needs a non-negative integer")))
         };
         match flag {
-            "--dataset" => req.dataset = Some(value.clone()),
-            "--method" => req.ordering = Some(value.clone()),
-            "--algo" => req.algo = Some(value.clone()),
+            "--dataset" => spec.dataset = value.clone(),
+            "--method" => spec.ordering = Some(value.clone()),
+            "--algo" => spec.algo = Some(value.clone()),
             "--window" => {
-                req.window =
+                spec.window =
                     u32::try_from(int()?).map_err(|_| usage_err("--window out of range"))?
             }
-            "--seed" => req.seed = int()?,
-            "--timeout-ms" => req.timeout_ms = Some(int()?),
+            "--seed" => spec.seed = int()?,
+            "--timeout-ms" => spec.timeout_ms = Some(int()?),
             "--threads" => {
-                req.threads =
+                spec.threads =
                     u32::try_from(int()?.max(1)).map_err(|_| usage_err("--threads out of range"))?
             }
             "--retries" => {
@@ -244,13 +252,21 @@ fn parse_remote_flags(
             other => return Err(CliError::Usage(format!("unknown flag {other:?}"))),
         }
     }
-    let is_work = matches!(op, "order" | "run" | "simulate");
-    if is_work && req.dataset.is_none() {
-        return Err(usage_err(&format!("op {op:?} needs --dataset")));
-    }
-    if !is_work && !matches!(op, "health" | "stats" | "shutdown") {
-        return Err(usage_err(&format!("unknown remote op {op:?}")));
-    }
+    let req = match op {
+        "health" | "stats" | "shutdown" if spec != blank => {
+            return Err(usage_err(&format!("op {op:?} takes only --retry* flags")));
+        }
+        "order" | "run" | "simulate" if spec.dataset.is_empty() => {
+            return Err(usage_err(&format!("op {op:?} needs --dataset")));
+        }
+        "health" => Request::Health,
+        "stats" => Request::Stats,
+        "shutdown" => Request::Shutdown,
+        "order" => Request::Order(spec),
+        "run" => Request::Run(spec),
+        "simulate" => Request::Simulate(spec),
+        _ => return Err(usage_err(&format!("unknown remote op {op:?}"))),
+    };
     Ok((req, policy))
 }
 
@@ -313,7 +329,7 @@ fn real_main() -> Result<Option<DegradeReason>, CliError> {
             Ok(degraded)
         }
         "list-orderings" => {
-            for name in ordering_names() {
+            for name in extended_names() {
                 println!("{name}");
             }
             Ok(None)
@@ -331,43 +347,31 @@ fn real_main() -> Result<Option<DegradeReason>, CliError> {
             let input = need(2)?.clone();
             let flags = parse_flags(&args[3..])?;
             let g = load(&PathBuf::from(&input))?;
-            let CmdOutput {
-                report,
-                degraded,
-                stats_json,
-                trace_events,
-                ..
-            } = if cmd == "run" {
-                run_algorithm_budgeted(
-                    &g,
-                    &algo,
-                    flags.method.as_deref(),
-                    flags.window,
-                    flags.seed,
-                    flags.timeout,
-                    flags.threads,
-                )?
-            } else {
-                simulate_algorithm_budgeted(
-                    &g,
-                    &algo,
-                    flags.method.as_deref(),
-                    flags.window,
-                    flags.seed,
-                    flags.timeout,
-                )?
-            };
-            println!("{report}");
-            if flags.stats {
-                if let Some(line) = stats_json {
-                    println!("{line}");
+            let measure = if cmd == "run" {
+                Measure::Wall {
+                    threads: flags.threads,
                 }
+            } else {
+                Measure::Modelled
+            };
+            let out = run_algorithm_budgeted(
+                &g,
+                &algo,
+                flags.method.as_deref(),
+                flags.window,
+                flags.seed,
+                flags.timeout,
+                measure,
+            )?;
+            println!("{}", out.report());
+            if flags.stats {
+                println!("{}", out.stats_line());
             }
             if let Some(path) = &flags.trace_out {
                 let manifest = flags.manifest(cmd, Some(&algo), &input);
-                write_trace(path, &manifest, &trace_events)?;
+                write_trace(path, &manifest, &[out.event()])?;
             }
-            Ok(degraded)
+            Ok(out.degraded)
         }
         "validate-trace" => {
             let path = PathBuf::from(need(1)?);
@@ -386,19 +390,19 @@ fn real_main() -> Result<Option<DegradeReason>, CliError> {
             let addr = need(1)?.clone();
             let op = need(2)?.clone();
             let (req, policy) = parse_remote_flags(&op, &args[3..])?;
-            let reply = gorder_cli::remote::call(&addr, &req, &policy).map_err(|e| match e {
-                remote::RemoteError::Transport(msg) => CliError::GraphIo(
+            let (reply, attempts) = client::call(&addr, &req, &policy).map_err(|e| match e {
+                RemoteError::Transport(msg) => CliError::GraphIo(
                     gorder_graph::io::GraphIoError::Io(std::io::Error::other(msg)),
                 ),
-                remote::RemoteError::BusyExhausted { attempts } => {
+                RemoteError::BusyExhausted { attempts } => {
                     eprintln!("server busy: gave up after {attempts} shed attempts");
                     CliError::TimedOut
                 }
-                remote::RemoteError::Server(msg) => CliError::Failed(msg),
+                RemoteError::Server(msg) => CliError::Failed(msg),
             })?;
             println!("{}", reply.report);
-            if reply.attempts > 1 {
-                eprintln!("succeeded on attempt {}", reply.attempts);
+            if attempts > 1 {
+                eprintln!("succeeded on attempt {attempts}");
             }
             if let Some(tier) = &reply.tier {
                 eprintln!(
@@ -421,8 +425,8 @@ fn real_main() -> Result<Option<DegradeReason>, CliError> {
         }
         "--help" | "-h" | "help" => {
             println!("{}", usage());
-            println!("\norderings: {:?}", ordering_names());
-            println!("algorithms: {:?}", algorithm_names());
+            println!("\norderings: {:?}", extended_names());
+            println!("algorithms: {:?}", kernel_labels());
             Ok(None)
         }
         _ => Err(CliError::Usage(usage().to_string())),

@@ -141,6 +141,26 @@ pub fn by_name_extended(name: &str, seed: u64) -> Option<Box<dyn OrderingAlgorit
         .find(|o| o.name().eq_ignore_ascii_case(name))
 }
 
+/// Resolves an ordering by name over the extended zoo, case-insensitively,
+/// with `Gorder` built at window `window` — the one resolver behind the
+/// CLI's `--method`/`--window` and the daemon's `ordering`/`window`.
+/// `Err` carries the message for an unknown name (with the known list)
+/// or a Gorder window of 0.
+pub fn ordering_by_name(
+    name: &str,
+    window: u32,
+    seed: u64,
+) -> Result<Box<dyn OrderingAlgorithm>, String> {
+    if name.eq_ignore_ascii_case("gorder") {
+        if window == 0 {
+            return Err("Gorder window must be at least 1".to_string());
+        }
+        return Ok(Box::new(gorder_impl::GorderOrdering::with_window(window)));
+    }
+    by_name_extended(name, seed)
+        .ok_or_else(|| format!("unknown ordering {name:?}; known: {:?}", extended_names()))
+}
+
 /// The ten headline ordering names, in the paper's presentation order.
 pub fn all_names() -> Vec<&'static str> {
     all(0).iter().map(|o| o.name()).collect()

@@ -24,10 +24,16 @@
 //!   relabel nothing, and graceful drain that answers every accepted
 //!   request before exiting.
 //!
-//! The matching client lives in `gorder-cli remote`, with seeded-jitter
-//! exponential backoff that honours `retry_after_ms`.
+//! * [`client`] — the matching retrying client (`gorder-cli remote`),
+//!   on the same [`protocol`] renderer and parser, with seeded-jitter
+//!   exponential backoff that honours `retry_after_ms`.
+//!
+//! Kernels run through [`gorder_cachesim::outcome`], the one by-name
+//! runner the CLI uses too, and orderings resolve through
+//! [`gorder_orders::ordering_by_name`].
 
 pub mod admission;
+pub mod client;
 pub mod protocol;
 pub mod server;
 

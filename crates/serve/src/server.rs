@@ -54,17 +54,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use gorder_cli::{
-    resolve_ordering_with_budget, run_algorithm_budgeted, simulate_algorithm_budgeted, CliError,
-    ResolvedOrdering,
-};
-use gorder_core::budget::Budget;
+use gorder_cachesim::outcome::{run_named, Measure};
+use gorder_core::budget::{Budget, ExecOutcome};
 use gorder_engine::parallel::{panic_message, run_tasks_outcomes};
 use gorder_graph::datasets;
 use gorder_graph::{Graph, Permutation};
 use gorder_obs::{faults, ServeEvent, TraceEvent, TraceSink};
 use gorder_orders::{
-    graph_digest, Admission, CacheKey, LayoutCache, OrderCache, OrderingAlgorithm, SingleFlight,
+    graph_digest, ordering_by_name, resolve_ordering, run_ordering, Admission, CacheKey, ExecPlan,
+    LayoutCache, OrderCache, OrderingAlgorithm, SingleFlight,
 };
 
 use crate::admission::{Queue, Refused};
@@ -183,7 +181,7 @@ struct Dataset {
 }
 
 /// Outcome of one ordering resolution, shareable across a single-flight
-/// group (hence `Clone`, and failure carried as data, not `CliError`).
+/// group (hence `Clone`, and failure carried as data).
 #[derive(Clone)]
 enum OrderOutcome {
     Ready {
@@ -588,11 +586,11 @@ impl Server {
 
     /// The lane a work request waits in: the build lane for `order` and
     /// for runs whose ordering identity has no resident layout, the run
-    /// lane otherwise. Unknown names go to the run lane, which rejects
-    /// them at once, and so does a request whose ordering panics on
-    /// construction (e.g. Gorder with window 0), which the run lane's
-    /// panic ladder answers. The layout peek counts no hit or miss;
-    /// `process` makes the one counted lookup.
+    /// lane otherwise. Unknown names and invalid orderings (Gorder with
+    /// window 0) go to the run lane, which rejects them at once. Should
+    /// building an ordering ever panic, routing falls back to the run
+    /// lane too, whose panic ladder answers the request. The layout peek
+    /// counts no hit or miss; `process` makes the one counted lookup.
     fn lane_for(&self, op: &str, spec: &WorkSpec) -> &Lane {
         if op == "order" {
             return &self.build_lane;
@@ -692,13 +690,13 @@ impl Server {
         let ds = self.dataset(spec)?;
         let threads = if serial_retry { 1 } else { threads };
         let (Some(name), Some((o, key))) = (&spec.ordering, ordering_key(ds, spec)?) else {
-            return self.execute(op, spec, &ds.graph, "full", threads);
+            return self.execute(op, spec, &ds.graph, None, "full", threads);
         };
         let identity = key.identity();
         let wants_layout = op != "order";
         if wants_layout {
             if let Some(layout) = self.cached_layout(&identity) {
-                return self.execute(op, spec, &layout, "cache", threads);
+                return self.execute(op, spec, &layout, Some(name), "cache", threads);
             }
         }
 
@@ -733,7 +731,7 @@ impl Server {
                 }
                 let layout = layout
                     .unwrap_or_else(|| self.build_layout(&ds.graph, &perm, &identity, !degraded));
-                self.execute(op, spec, &layout, tier, threads)
+                self.execute(op, spec, &layout, Some(name), tier, threads)
             }
             OrderOutcome::TimedOut | OrderOutcome::Failed(_) => {
                 // Bottom of the ladder: serve over the original order
@@ -753,49 +751,39 @@ impl Server {
                         ),
                     });
                 }
-                self.execute(op, spec, &ds.graph, "original", threads)
+                self.execute(op, spec, &ds.graph, None, "original", threads)
             }
         }
     }
 
     /// Runs the `run`/`simulate` kernel over `g`, already in the layout
-    /// that `tier` of the ladder produced.
+    /// that `tier` of the ladder produced with `ordering` (`None`: the
+    /// dataset's own order).
     fn execute(
         &self,
         op: &str,
         spec: &WorkSpec,
         g: &Graph,
+        ordering: Option<&str>,
         tier: &'static str,
         threads: u32,
     ) -> Result<Processed, String> {
         let algo = spec.algo.as_deref().expect("work ops validated algo");
-        let out = match op {
-            "run" => run_algorithm_budgeted(g, algo, None, spec.window, spec.seed, None, threads),
-            "simulate" => simulate_algorithm_budgeted(g, algo, None, spec.window, spec.seed, None),
+        let measure = match op {
+            "run" => Measure::Wall { threads },
+            "simulate" => Measure::Modelled,
             other => unreachable!("op {other} dispatched as work"),
-        }
-        .map_err(|e| match e {
-            CliError::Usage(msg) => msg,
-            other => other.to_string(),
-        })?;
-        // The inner runner saw an already-relabelled graph (ordering was
-        // resolved through the tier ladder), so its note claims
-        // "original order"; name the ordering that actually produced the
-        // labels instead.
-        let report = match &spec.ordering {
-            Some(name) if tier != "original" => {
-                out.report
-                    .replacen("over original order", &format!("over {name} order"), 1)
-            }
-            _ => out.report,
         };
-        for ev in &out.trace_events {
-            self.trace_event(ev.clone());
-        }
+        let out = run_named(algo, g, spec.seed, measure).map_err(|e| e.to_string())?;
+        let layout = match ordering {
+            Some(name) => format!("{name} order"),
+            None => "original order".to_string(),
+        };
+        self.trace_event(TraceEvent::Kernel(out.event(ordering)));
         Ok(Processed {
             tier,
             checksum: out.checksum,
-            report,
+            report: out.report(&layout),
         })
     }
 
@@ -862,33 +850,28 @@ impl Server {
             .expect("active budgets lock")
             .push((budget_id, budget.clone()));
         let result = self.flights.run(identity, || {
-            match resolve_ordering_with_budget(
-                &ds.graph,
-                o,
+            let (outcome, event) = resolve_ordering(
                 key,
-                &budget,
+                ds.graph.n(),
                 self.cache.as_ref(),
                 Some(&spec.dataset),
-            ) {
-                Ok(ResolvedOrdering {
-                    perm,
-                    degraded,
-                    event,
-                }) => {
-                    let cache_hit = event.cache_hit;
-                    self.trace_event(TraceEvent::Order(event));
-                    let degraded = degraded.is_some();
-                    let layout = (wants_layout && !degraded)
-                        .then(|| self.build_layout(&ds.graph, &perm, identity, true));
-                    OrderOutcome::Ready {
-                        perm,
-                        degraded,
-                        cache_hit,
-                        layout,
-                    }
-                }
-                Err(CliError::TimedOut) => OrderOutcome::TimedOut,
-                Err(e) => OrderOutcome::Failed(e.to_string()),
+                || run_ordering(o, &ds.graph, ExecPlan::Serial, &budget),
+            );
+            let (perm, degraded) = match outcome {
+                ExecOutcome::Completed(perm) => (perm, false),
+                ExecOutcome::Degraded(perm, _) => (perm, true),
+                ExecOutcome::TimedOut => return OrderOutcome::TimedOut,
+                ExecOutcome::Failed(msg) => return OrderOutcome::Failed(msg),
+            };
+            let cache_hit = event.cache_hit;
+            self.trace_event(TraceEvent::Order(event));
+            let layout = (wants_layout && !degraded)
+                .then(|| self.build_layout(&ds.graph, &perm, identity, true));
+            OrderOutcome::Ready {
+                perm,
+                degraded,
+                cache_hit,
+                layout,
             }
         });
         self.active
@@ -961,12 +944,7 @@ fn ordering_key(ds: &Dataset, spec: &WorkSpec) -> Result<Option<KeyedOrdering>, 
     let Some(name) = &spec.ordering else {
         return Ok(None);
     };
-    let o = gorder_cli::ordering_by_name(name, spec.window, spec.seed).ok_or_else(|| {
-        format!(
-            "unknown ordering {name:?}; known: {:?}",
-            gorder_cli::ordering_names()
-        )
-    })?;
+    let o = ordering_by_name(name, spec.window, spec.seed)?;
     let key = CacheKey::with_digest(ds.digest, o.as_ref(), spec.seed);
     Ok(Some((o, key)))
 }

@@ -1,5 +1,5 @@
 //! End-to-end ladder tests: a real `Server` on an ephemeral port, driven
-//! by raw sockets and by the retrying `gorder-cli remote` client.
+//! by raw sockets and by the retrying client behind `gorder-cli remote`.
 //!
 //! The fault plan is process-global (`gorder_obs::faults`), so every
 //! test takes [`fault_lock`] — including the ones that arm nothing —
@@ -12,7 +12,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use gorder_cli::remote::{call, RemoteError, RemoteRequest, RetryPolicy};
+use gorder_serve::client::{self, RemoteError, RetryPolicy};
+use gorder_serve::protocol::{Request, Response, WorkSpec};
 use gorder_serve::server::{DrainSummary, Server, ServerConfig};
 
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
@@ -98,16 +99,30 @@ fn raw_request(addr: &str, line: &str) -> String {
     reply.trim_end().to_string()
 }
 
-fn work_request(op: &str, ordering: Option<&str>, algo: Option<&str>) -> RemoteRequest {
-    RemoteRequest {
-        op: op.to_string(),
-        dataset: Some("wiki".to_string()),
+/// [`client::call`] without the attempt count.
+fn call(addr: &str, req: &Request, policy: &RetryPolicy) -> Result<Response, RemoteError> {
+    client::call(addr, req, policy).map(|(reply, _)| reply)
+}
+
+fn spec(ordering: Option<&str>, algo: Option<&str>) -> WorkSpec {
+    WorkSpec {
+        dataset: "wiki".to_string(),
         ordering: ordering.map(str::to_string),
         algo: algo.map(str::to_string),
         window: 5,
         seed: 0,
         timeout_ms: None,
         threads: 1,
+    }
+}
+
+fn work_request(op: &str, ordering: Option<&str>, algo: Option<&str>) -> Request {
+    let spec = spec(ordering, algo);
+    match op {
+        "order" => Request::Order(spec),
+        "run" => Request::Run(spec),
+        "simulate" => Request::Simulate(spec),
+        other => panic!("not a work op: {other}"),
     }
 }
 
@@ -124,7 +139,7 @@ fn ladder_serves_tiers_and_drains_into_a_valid_trace() {
     let policy = RetryPolicy::default();
 
     // Control tier: health answers inline even before any work.
-    let health = call(&addr, &RemoteRequest::control("health"), &policy).unwrap();
+    let health = call(&addr, &Request::Health, &policy).unwrap();
     assert_eq!(health.status, "ok");
     assert!(health.report.contains("1 datasets"), "{}", health.report);
 
@@ -163,7 +178,7 @@ fn ladder_serves_tiers_and_drains_into_a_valid_trace() {
     }
 
     // Shutdown request: ok reply, then a zero-loss drain.
-    let bye = call(&addr, &RemoteRequest::control("shutdown"), &policy).unwrap();
+    let bye = call(&addr, &Request::Shutdown, &policy).unwrap();
     assert_eq!(bye.status, "ok");
     let summary = server.join();
     assert_eq!(
@@ -172,10 +187,12 @@ fn ladder_serves_tiers_and_drains_into_a_valid_trace() {
     );
 
     // The flushed trace passes strict validation...
-    let verdict = gorder_cli::validate_trace_file(&trace, false).expect("trace validates");
+    let body = std::fs::read_to_string(&trace).unwrap();
+    let verdict = gorder_obs::validate_jsonl(&body).expect("trace validates");
     assert!(
-        verdict.contains("serve"),
-        "serve records present: {verdict}"
+        verdict.by_kind.contains_key("serve"),
+        "serve records present: {:?}",
+        verdict.by_kind
     );
 
     // ...and serve records keep the golden key order.
@@ -189,7 +206,6 @@ fn ladder_serves_tiers_and_drains_into_a_valid_trace() {
         .split(',')
         .map(str::to_string)
         .collect();
-    let body = std::fs::read_to_string(&trace).unwrap();
     let mut seen = 0;
     for line in body.lines().filter(|l| l.contains("\"kind\":\"serve\"")) {
         assert_eq!(
@@ -449,21 +465,26 @@ fn sigterm_with_both_lanes_busy_answers_every_accepted_request() {
 }
 
 #[test]
-fn an_ordering_that_panics_while_routing_is_still_answered() {
+fn gorder_window_zero_is_an_error_not_a_panic() {
     let _guard = fault_lock();
     let server = Running::start(test_config());
     let addr = server.addr();
-    // Gorder rejects window 0 with a panic, wherever it is constructed.
-    let line = "{\"op\":\"run\",\"dataset\":\"wiki\",\"ordering\":\"Gorder\",\
-                \"algo\":\"BFS\",\"window\":0}";
-    let reply = raw_request(&addr, line);
-    assert!(reply.contains("\"status\":\"error\""), "{reply}");
-    assert!(reply.contains("panicked twice"), "{reply}");
-    let health = call(
-        &addr,
-        &RemoteRequest::control("health"),
-        &RetryPolicy::default(),
+    let panics = gorder_obs::global().counter("serve.request_panics");
+    for op in ["run", "order"] {
+        let algo = if op == "run" { ",\"algo\":\"BFS\"" } else { "" };
+        let line = format!(
+            "{{\"op\":\"{op}\",\"dataset\":\"wiki\",\"ordering\":\"Gorder\"{algo},\"window\":0}}"
+        );
+        let reply = raw_request(&addr, &line);
+        assert!(reply.contains("\"status\":\"error\""), "{reply}");
+        assert!(reply.contains("window must be at least 1"), "{reply}");
+    }
+    assert_eq!(
+        gorder_obs::global().counter("serve.request_panics"),
+        panics,
+        "no handler panicked"
     );
+    let health = call(&addr, &Request::Health, &RetryPolicy::default());
     assert_eq!(health.unwrap().status, "ok", "the server lives on");
     server.sigterm();
     let summary = server.join();
@@ -518,7 +539,7 @@ fn stat(report: &str, name: &str) -> f64 {
         .unwrap()
 }
 
-fn run_request(ordering: Option<&str>, algo: &str) -> RemoteRequest {
+fn run_request(ordering: Option<&str>, algo: &str) -> Request {
     work_request("run", ordering, Some(algo))
 }
 
@@ -543,7 +564,7 @@ fn identical_runs_share_a_checksum_and_the_second_hits_the_layout_lru() {
     let shown = format!("checksum {:#x}", first.checksum.unwrap());
     assert!(second.report.contains(&shown), "{}", second.report);
 
-    let stats = call(&addr, &RemoteRequest::control("stats"), &policy).unwrap();
+    let stats = call(&addr, &Request::Stats, &policy).unwrap();
     assert!(
         stat(&stats.report, "serve.layout.hits") >= 1.0,
         "{}",
@@ -594,16 +615,23 @@ fn degraded_layouts_are_never_admitted() {
     let addr = server.addr();
     let policy = RetryPolicy::default();
 
-    let rushed = RemoteRequest {
+    let rushed = Request::Run(WorkSpec {
         timeout_ms: Some(0),
-        ..run_request(Some("Gorder"), "BFS")
-    };
+        ..spec(Some("Gorder"), Some("BFS"))
+    });
     let degraded = call(&addr, &rushed, &policy).unwrap();
     assert_eq!(degraded.tier.as_deref(), Some("degraded"));
 
-    // The full ordering, run in-process on the same graph.
+    // The full ordering, run by the engine on the same graph.
     let g = gorder_graph::datasets::by_name("wiki").unwrap().build(0.02);
-    let fresh = gorder_cli::run_algorithm_budgeted(&g, "BFS", Some("Gorder"), 5, 0, None, 1)
+    let perm = gorder_orders::ordering_by_name("Gorder", 5, 0)
+        .unwrap()
+        .compute(&g);
+    let ctx = gorder_engine::KernelCtx {
+        seed: 0,
+        ..Default::default()
+    };
+    let fresh = gorder_engine::run_by_name("BFS", &g.relabel(&perm), &ctx)
         .unwrap()
         .checksum;
     let full = call(&addr, &run_request(Some("Gorder"), "BFS"), &policy).unwrap();

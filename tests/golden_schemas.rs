@@ -6,6 +6,7 @@
 //! the drift. Silent changes are exactly what this file exists to stop.
 
 use gorder_bench::schema::{FIG5_HEADER, FIG5_KNOWN_HEADERS, TABLE2_HEADER};
+use gorder_cachesim::Measure;
 use gorder_cli::run_algorithm_budgeted;
 use gorder_graph::Graph;
 use std::path::Path;
@@ -81,8 +82,9 @@ fn top_level_keys(line: &str) -> Vec<String> {
 #[test]
 fn stats_json_keys_match_golden() {
     let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (0, 3)]);
-    let out = run_algorithm_budgeted(&g, "BFS", None, 5, 1, None, 2).unwrap();
-    let line = out.stats_json.expect("run emits a stats line");
+    let out =
+        run_algorithm_budgeted(&g, "BFS", None, 5, 1, None, Measure::Wall { threads: 2 }).unwrap();
+    let line = out.stats_line();
     let want: Vec<String> = golden("stats_keys.txt")
         .lines()
         .map(str::to_string)
