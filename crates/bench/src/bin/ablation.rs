@@ -10,9 +10,7 @@
 
 use gorder_bench::fmt::{write_csv, Table};
 use gorder_bench::timing::{median_secs, pretty_secs, time_once};
-use gorder_bench::{
-    expected_config_hash, resolve_ordering, resolve_orderings, HarnessArgs, ResumeState, SweepTrace,
-};
+use gorder_bench::{load_resume, resolve_ordering, resolve_orderings, HarnessArgs, SweepTrace};
 use gorder_cachesim::trace::pagerank as traced_pr;
 use gorder_cachesim::{CacheHierarchy, HierarchyConfig, Tracer};
 use gorder_core::budget::ExecOutcome;
@@ -60,24 +58,7 @@ fn main() {
             std::process::exit(2)
         })
     });
-    // Parse the prior trace before SweepTrace::open truncates the
-    // `--trace-out` target (`--resume X --trace-out X` after a crash).
-    let resume = args.resume.as_ref().map(|path| {
-        match ResumeState::load(path, expected_config_hash("ablation", &args)) {
-            Ok(s) => {
-                eprintln!(
-                    "[ablation] resuming from {path}: {} completed cells, {} rows",
-                    s.cell_count(),
-                    s.row_count()
-                );
-                s
-            }
-            Err(e) => {
-                eprintln!("error: --resume {e}");
-                std::process::exit(2);
-            }
-        }
-    });
+    let resume = load_resume("ablation", &args);
     // --trace-out streams one `phase` line per ordering construction,
     // one `cell` line per PageRank row, and one verbatim `row` line per
     // CSV row, flushed as each lands.

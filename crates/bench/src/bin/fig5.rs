@@ -19,8 +19,8 @@ use gorder_bench::fmt::{write_csv, Table};
 use gorder_bench::schema::FIG5_HEADER;
 use gorder_bench::timing::pretty_secs;
 use gorder_bench::{
-    expected_config_hash, run_grid, CellResult, CellStatus, GridConfig, HarnessArgs, ResumeState,
-    RobustCell, Sweep, SweepTrace,
+    load_resume, run_grid, CellResult, CellStatus, GridConfig, HarnessArgs, RobustCell, Sweep,
+    SweepTrace,
 };
 use gorder_orders::OrderCache;
 use std::cell::RefCell;
@@ -66,27 +66,7 @@ fn main() {
     } else {
         "fig5.csv"
     };
-    // Parse the prior trace *before* SweepTrace::open truncates the
-    // `--trace-out` target — `--resume X --trace-out X` is the natural
-    // invocation after a crash.
-    let resume = args.resume.as_ref().map(|path| {
-        match ResumeState::load(path, expected_config_hash("fig5", &args)) {
-            Ok(s) => {
-                eprintln!(
-                    "[fig5] resuming from {path}: {} completed cells, {} rows{}",
-                    s.cell_count(),
-                    s.row_count(),
-                    if s.truncated_final_line {
-                        " (trace ends in a torn line — crash artifact, tolerated)"
-                    } else {
-                        ""
-                    }
-                );
-                s
-            }
-            Err(e) => die(&format!("--resume {e}")),
-        }
-    });
+    let resume = load_resume("fig5", &args);
     // --trace-out streams one JSONL line per finished cell plus one
     // `row` line per finished CSV row (the run manifest up front), so a
     // sweep interrupted partway still leaves a reconstructable record

@@ -8,9 +8,7 @@
 use gorder_bench::fmt::{write_csv, Table};
 use gorder_bench::schema::TABLE2_HEADER;
 use gorder_bench::timing::{pretty_secs, time_once};
-use gorder_bench::{
-    expected_config_hash, resolve_ordering, resolve_orderings, HarnessArgs, ResumeState, SweepTrace,
-};
+use gorder_bench::{load_resume, resolve_ordering, resolve_orderings, HarnessArgs, SweepTrace};
 use gorder_core::budget::ExecOutcome;
 use gorder_engine::{run_by_name_plan, ExecPlan, KernelCtx};
 use gorder_obs::{CellEvent, TraceEvent};
@@ -54,24 +52,7 @@ fn main() {
             std::process::exit(2)
         })
     });
-    // Parse the prior trace before SweepTrace::open truncates the
-    // `--trace-out` target (`--resume X --trace-out X` after a crash).
-    let resume = args.resume.as_ref().map(|path| {
-        match ResumeState::load(path, expected_config_hash("table2", &args)) {
-            Ok(s) => {
-                eprintln!(
-                    "[table2] resuming from {path}: {} completed cells, {} rows",
-                    s.cell_count(),
-                    s.row_count()
-                );
-                s
-            }
-            Err(e) => {
-                eprintln!("error: --resume {e}");
-                std::process::exit(2);
-            }
-        }
-    });
+    let resume = load_resume("table2", &args);
     // Original and Random cost nothing interesting; the paper's table
     // starts at MinLA. Keep them anyway — they are part of the zoo.
     let mut header = vec!["Ordering".to_string()];

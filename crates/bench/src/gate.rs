@@ -18,8 +18,9 @@
 //!   by more than the threshold", not "one noisy sample moved".
 //!
 //! The report serialises with the obs trace machinery (schema-versioned
-//! manifest first, fixed key order per record kind), parses back with
-//! the same strict line/byte-offset errors as `validate-trace`, and
+//! manifest first, fixed key order per record kind), parses back through
+//! the same reader as `validate-trace` ([`gorder_obs::trace::read_jsonl`],
+//! with the `gate`/`order` decoders next to their writers), and
 //! [`compare`] renders any drift as a delta table naming the offending
 //! (dataset, ordering, algo, metric) cells.
 
@@ -29,11 +30,11 @@ use crate::schema::GATE_DELTA_HEADER;
 use crate::stats::paired_stats;
 use crate::timing::time_once;
 use gorder_cachesim::trace::replay_with_stats;
-use gorder_cachesim::{CacheHierarchy, HierarchyConfig, Tracer};
-use gorder_engine::{ExecPlan, KernelCtx, KernelStats, NoProbe};
+use gorder_cachesim::{kernel_label, CacheHierarchy, HierarchyConfig, Tracer};
+use gorder_engine::{ExecPlan, KernelCtx, KernelStats};
 use gorder_graph::datasets;
-use gorder_obs::json::{parse_object, parse_string};
-use gorder_obs::{GateEvent, OrderEvent, RunManifest, TraceEvent, SCHEMA_VERSION};
+use gorder_obs::trace::read_jsonl;
+use gorder_obs::{GateEvent, OrderEvent, RunManifest, TraceEvent};
 use gorder_orders::OrderingAlgorithm;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -154,18 +155,6 @@ impl GateConfig {
         m.started_unix_secs = 0;
         m
     }
-
-    fn ordering_named(&self, name: &str) -> Result<Box<dyn OrderingAlgorithm>, String> {
-        if name == "Gorder" {
-            if let Some(w) = self.gorder_window {
-                return Ok(Box::new(
-                    gorder_orders::gorder_impl::GorderOrdering::with_window(w),
-                ));
-            }
-        }
-        gorder_orders::by_name_extended(name, self.seed)
-            .ok_or_else(|| format!("unknown ordering {name:?}"))
-    }
 }
 
 /// One gate run, ready to serialise: the manifest, one `gate` record per
@@ -192,16 +181,15 @@ pub fn run_gate(cfg: &GateConfig) -> Result<GateReport, String> {
     let orderings: Vec<Arc<dyn OrderingAlgorithm>> = cfg
         .orderings
         .iter()
-        .map(|name| cfg.ordering_named(name).map(Arc::from))
+        .map(|name| {
+            gorder_orders::ordering_by_name(name, cfg.gorder_window.unwrap_or(5), cfg.seed)
+                .map(Arc::from)
+        })
         .collect::<Result<Vec<_>, _>>()?;
     let kernels = cfg
         .algos
         .iter()
-        .map(|name| {
-            gorder_engine::by_name::<NoProbe>(name)
-                .map(|k| k.name())
-                .ok_or_else(|| format!("unknown algorithm {name:?}"))
-        })
+        .map(|name| kernel_label(name).map_err(|e| e.to_string()))
         .collect::<Result<Vec<_>, _>>()?;
     if cfg.mode == GateMode::Wall && !orderings.iter().any(|o| o.name() == "Original") {
         return Err("wall mode needs \"Original\" among --orderings (it is the A side)".into());
@@ -401,177 +389,45 @@ pub fn render_report(r: &GateReport) -> String {
 
 /// Parses `BENCH_gate.json` content back into a [`GateReport`],
 /// losslessly ([`render_report`] of the result reproduces the input
-/// byte-for-byte). Errors carry the validate-trace conventions: `line
-/// {n} (byte offset {offset}): {what}`. A final line without its
-/// newline is rejected as truncated — baseline lines are flushed
-/// newline-last, so a complete file always ends with one.
+/// byte-for-byte), through the shared trace reader and its record
+/// decoders. Errors carry the validate-trace conventions: `line {n}
+/// (byte offset {offset}): {what}`. A baseline is written whole, never
+/// streamed, so a final line without its newline is rejected as
+/// truncated rather than forgiven as a crash tear.
 pub fn parse_report(text: &str) -> Result<GateReport, String> {
-    let mut manifest: Option<RunManifest> = None;
+    if text.is_empty() {
+        return Err("empty gate file: expected at least a manifest line".into());
+    }
+    if !text.ends_with('\n') {
+        let offset = text.rfind('\n').map_or(0, |i| i + 1);
+        let n = text.matches('\n').count() + 1;
+        return Err(format!(
+            "line {n} (byte offset {offset}): truncated line (missing trailing newline)"
+        ));
+    }
+    let mut manifest = None;
     let mut cells = Vec::new();
     let mut orders = Vec::new();
-    let mut offset = 0usize;
-    for (idx, raw) in text.split_inclusive('\n').enumerate() {
-        let n = idx + 1;
-        let at = |e: String| format!("line {n} (byte offset {offset}): {e}");
-        let Some(line) = raw.strip_suffix('\n') else {
-            return Err(at("truncated line (missing trailing newline)".into()));
-        };
-        let obj = parse_object(line).map_err(&at)?;
-        let kind = get_str(&obj, "kind").map_err(&at)?;
-        if idx == 0 {
-            if kind != "manifest" {
-                return Err(at(format!("first line must be a manifest, got {kind:?}")));
-            }
-            let ver = get_u64(&obj, "schema_version").map_err(&at)?;
-            if ver != SCHEMA_VERSION {
-                return Err(at(format!(
-                    "schema_version {ver} != supported {SCHEMA_VERSION} — \
-                     regenerate the baseline with --update"
-                )));
-            }
-            manifest = Some(parse_manifest(&obj).map_err(&at)?);
-        } else {
-            match kind.as_str() {
-                "gate" => cells.push(parse_gate(&obj).map_err(&at)?),
-                "order" => orders.push(parse_order(&obj).map_err(&at)?),
-                other => {
-                    return Err(at(format!(
-                        "unexpected record kind {other:?} in a gate file"
-                    )))
-                }
-            }
+    read_jsonl(text, false, |n, kind, f| {
+        match kind {
+            _ if n == 1 => manifest = Some(RunManifest::decode(f)?),
+            "gate" => cells.push(GateEvent::decode(f)?),
+            "order" => orders.push(OrderEvent::decode(f)?),
+            other => return Err(format!("unexpected record kind {other:?} in a gate file")),
         }
-        offset += raw.len();
-    }
-    let manifest = manifest.ok_or("empty gate file: expected at least a manifest line")?;
+        Ok(())
+    })
+    .map_err(|e| {
+        if e.contains("schema_version") {
+            format!("{e} — regenerate the baseline with --update")
+        } else {
+            e
+        }
+    })?;
     Ok(GateReport {
-        manifest,
+        manifest: manifest.expect("the reader rejects a trace without a manifest"),
         cells,
         orders,
-    })
-}
-
-fn req<'a>(obj: &'a BTreeMap<String, String>, key: &str) -> Result<&'a str, String> {
-    obj.get(key)
-        .map(String::as_str)
-        .ok_or_else(|| format!("missing {key:?}"))
-}
-
-fn get_str(obj: &BTreeMap<String, String>, key: &str) -> Result<String, String> {
-    parse_string(req(obj, key)?).map_err(|e| format!("{key}: {e}"))
-}
-
-fn get_opt_str(obj: &BTreeMap<String, String>, key: &str) -> Result<Option<String>, String> {
-    let raw = req(obj, key)?;
-    if raw == "null" {
-        return Ok(None);
-    }
-    parse_string(raw)
-        .map(Some)
-        .map_err(|e| format!("{key}: {e}"))
-}
-
-fn get_u64(obj: &BTreeMap<String, String>, key: &str) -> Result<u64, String> {
-    let raw = req(obj, key)?;
-    raw.parse()
-        .map_err(|_| format!("{key}: not an unsigned integer: {raw}"))
-}
-
-fn get_opt_u64(obj: &BTreeMap<String, String>, key: &str) -> Result<Option<u64>, String> {
-    let raw = req(obj, key)?;
-    if raw == "null" {
-        return Ok(None);
-    }
-    raw.parse()
-        .map(Some)
-        .map_err(|_| format!("{key}: not an unsigned integer: {raw}"))
-}
-
-fn get_f64(obj: &BTreeMap<String, String>, key: &str) -> Result<f64, String> {
-    let raw = req(obj, key)?;
-    raw.parse()
-        .map_err(|_| format!("{key}: not a finite number: {raw}"))
-}
-
-fn get_bool(obj: &BTreeMap<String, String>, key: &str) -> Result<bool, String> {
-    match req(obj, key)? {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        raw => Err(format!("{key}: not a boolean: {raw}")),
-    }
-}
-
-fn get_u64_array(obj: &BTreeMap<String, String>, key: &str) -> Result<Vec<u64>, String> {
-    let raw = req(obj, key)?;
-    let inner = raw
-        .strip_prefix('[')
-        .and_then(|r| r.strip_suffix(']'))
-        .ok_or_else(|| format!("{key}: not an array: {raw}"))?;
-    if inner.is_empty() {
-        return Ok(Vec::new());
-    }
-    inner
-        .split(',')
-        .map(|v| {
-            v.parse()
-                .map_err(|_| format!("{key}: not an unsigned integer: {v}"))
-        })
-        .collect()
-}
-
-fn parse_manifest(obj: &BTreeMap<String, String>) -> Result<RunManifest, String> {
-    Ok(RunManifest {
-        tool: get_str(obj, "tool")?,
-        dataset: get_opt_str(obj, "dataset")?,
-        ordering: get_opt_str(obj, "ordering")?,
-        algo: get_opt_str(obj, "algo")?,
-        threads: get_u64(obj, "threads")?,
-        window: get_opt_u64(obj, "window")?,
-        config_hash: get_u64(obj, "config_hash")?,
-        started_unix_secs: get_u64(obj, "started_unix_secs")?,
-    })
-}
-
-fn parse_gate(obj: &BTreeMap<String, String>) -> Result<GateEvent, String> {
-    Ok(GateEvent {
-        mode: get_str(obj, "mode")?,
-        dataset: get_str(obj, "dataset")?,
-        ordering: get_str(obj, "ordering")?,
-        algo: get_str(obj, "algo")?,
-        checksum: get_u64(obj, "checksum")?,
-        iterations: get_u64(obj, "iterations")?,
-        edges_relaxed: get_u64(obj, "edges_relaxed")?,
-        refs: get_u64(obj, "refs")?,
-        level_misses: get_u64_array(obj, "level_misses")?,
-        mem_accesses: get_u64(obj, "mem_accesses")?,
-        ops: get_u64(obj, "ops")?,
-        reuse_total: get_u64(obj, "reuse_total")?,
-        reuse_sum: get_f64(obj, "reuse_sum")?,
-        reuse_counts: get_u64_array(obj, "reuse_counts")?,
-        pairs: get_u64(obj, "pairs")?,
-        speedup: get_f64(obj, "speedup")?,
-        sign_p: get_f64(obj, "sign_p")?,
-        ci_lo: get_f64(obj, "ci_lo")?,
-        ci_hi: get_f64(obj, "ci_hi")?,
-    })
-}
-
-fn parse_order(obj: &BTreeMap<String, String>) -> Result<OrderEvent, String> {
-    Ok(OrderEvent {
-        dataset: get_opt_str(obj, "dataset")?,
-        name: get_str(obj, "name")?,
-        params: get_str(obj, "params")?,
-        seed: get_u64(obj, "seed")?,
-        graph_digest: get_u64(obj, "graph_digest")?,
-        identity: get_str(obj, "identity")?,
-        status: get_str(obj, "status")?,
-        seconds: get_f64(obj, "seconds")?,
-        nodes_placed: get_u64(obj, "nodes_placed")?,
-        heap_increments: get_u64(obj, "heap_increments")?,
-        heap_decrements: get_u64(obj, "heap_decrements")?,
-        heap_pops: get_u64(obj, "heap_pops")?,
-        threads_used: get_u64(obj, "threads_used")?,
-        cache_hit: get_bool(obj, "cache_hit")?,
     })
 }
 
@@ -817,6 +673,7 @@ fn compare_order(b: &OrderEvent, c: &OrderEvent, tolerance_pct: f64, deltas: &mu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gorder_obs::SCHEMA_VERSION;
 
     /// A one-dataset, two-ordering, one-kernel sim grid that runs in
     /// well under a second.

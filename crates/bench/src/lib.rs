@@ -50,4 +50,4 @@ pub use robust::{
     CellStatus, Job, Layout, Measure, RecoveredLookup, RobustCell, Sweep, SweepCell, SweepReport,
 };
 pub use stats::{paired_stats, sign_test_p, PairedStats, Verdict};
-pub use tracefile::{expected_config_hash, SweepTrace};
+pub use tracefile::{expected_config_hash, load_resume, SweepTrace};

@@ -5,9 +5,10 @@
 //! line pins the configuration (via its config hash), every finished
 //! cell appends a `cell` line, and every finished CSV row appends a
 //! `row` line — each flushed before the sweep moves on. [`ResumeState`]
-//! parses such a file back, tolerating the one torn final line a
-//! SIGKILL mid-write leaves behind, and hands the experiment binaries
-//! two lookups:
+//! reads such a file back through the shared trace reader
+//! ([`gorder_obs::trace::read_jsonl`] in lenient mode, so the one torn
+//! final line a SIGKILL mid-write leaves behind is tolerated) and the
+//! `cell`/`row` decoders, and hands the experiment binaries two lookups:
 //!
 //! * [`ResumeState::completed_cell`] — the timing/checksum of a cell
 //!   whose `cell` line made it to disk with status `completed`;
@@ -20,8 +21,8 @@
 //! differs from the current invocation's — resuming under a different
 //! grid would splice rows from a different experiment.
 
-use gorder_obs::json::{parse_object, parse_string, parse_string_array};
-use gorder_obs::SCHEMA_VERSION;
+use gorder_obs::trace::read_jsonl;
+use gorder_obs::{CellEvent, RowEvent, RunManifest};
 use std::collections::BTreeMap;
 
 /// A completed cell as recovered from a prior trace's `cell` line.
@@ -54,28 +55,43 @@ impl ResumeState {
     /// error naming its line number and byte offset.
     pub fn parse(text: &str, expected_hash: u64) -> Result<ResumeState, String> {
         let mut state = ResumeState::default();
-        let mut offset = 0usize;
-        let mut lines = 0usize;
-        for (idx, raw) in text.split_inclusive('\n').enumerate() {
-            let n = idx + 1;
-            let line = raw.strip_suffix('\n').unwrap_or(raw);
-            // Same tolerance rule as the lenient validator: complete
-            // lines are flushed newline-last, so only an unterminated
-            // final line past the manifest can be a crash artifact.
-            let torn_tolerable = n >= 2 && offset + raw.len() == text.len() && raw == line;
-            match record_line(&mut state, line, n == 1, expected_hash) {
-                Ok(()) => lines = n,
-                Err(_) if torn_tolerable => {
-                    state.truncated_final_line = true;
-                    break;
+        // Only the manifest, `cell` and `row` records carry resume
+        // information; every other kind just has to parse.
+        let summary = read_jsonl(text, true, |n, kind, f| {
+            match kind {
+                _ if n == 1 => {
+                    let hash = RunManifest::decode(f)?.config_hash;
+                    if hash != expected_hash {
+                        return Err(format!(
+                            "config_hash mismatch: trace has {hash}, current invocation is \
+                             {expected_hash} — refusing to resume a differently-configured run"
+                        ));
+                    }
                 }
-                Err(e) => return Err(format!("line {n} (byte offset {offset}): {e}")),
+                "cell" => {
+                    let c = CellEvent::decode(f)?;
+                    if c.status == "completed" {
+                        if c.seconds.is_nan() {
+                            return Err("bad cell seconds: null".to_string());
+                        }
+                        state.cells.insert(
+                            cell_key(&c.dataset, &c.ordering, &c.algo),
+                            RecoveredCell {
+                                seconds: c.seconds,
+                                checksum: c.checksum,
+                            },
+                        );
+                    }
+                }
+                "row" => {
+                    let r = RowEvent::decode(f)?;
+                    state.rows.insert((r.table, r.key), r.cells);
+                }
+                _ => {}
             }
-            offset += raw.len();
-        }
-        if lines == 0 {
-            return Err("empty trace: expected at least a manifest line".to_string());
-        }
+            Ok(())
+        })?;
+        state.truncated_final_line = summary.truncated_final_line;
         Ok(state)
     }
 
@@ -119,77 +135,11 @@ fn cell_key(dataset: &str, ordering: &str, algo: &str) -> String {
     format!("{dataset}|{ordering}|{algo}")
 }
 
-/// Parses one line into `state`. Only `manifest`, `cell`, and `row`
-/// records carry resume information; every other kind just has to parse.
-fn record_line(
-    state: &mut ResumeState,
-    line: &str,
-    first: bool,
-    expected_hash: u64,
-) -> Result<(), String> {
-    let obj = parse_object(line)?;
-    let kind = obj.get("kind").ok_or("missing \"kind\"")?.trim_matches('"');
-    if first {
-        if kind != "manifest" {
-            return Err(format!("first line must be a manifest, got {kind:?}"));
-        }
-        let ver = obj
-            .get("schema_version")
-            .ok_or("manifest missing schema_version")?;
-        if ver != &SCHEMA_VERSION.to_string() {
-            return Err(format!(
-                "schema_version {ver} != supported {SCHEMA_VERSION}"
-            ));
-        }
-        let hash: u64 = obj
-            .get("config_hash")
-            .ok_or("manifest missing config_hash")?
-            .parse()
-            .map_err(|e| format!("bad config_hash: {e}"))?;
-        if hash != expected_hash {
-            return Err(format!(
-                "config_hash mismatch: trace has {hash}, current invocation is {expected_hash} \
-                 — refusing to resume a differently-configured run"
-            ));
-        }
-        return Ok(());
-    }
-    match kind {
-        "cell" => {
-            let field = |k: &str| obj.get(k).ok_or(format!("cell missing {k:?}"));
-            if parse_string(field("status")?)? != "completed" {
-                return Ok(());
-            }
-            let key = cell_key(
-                &parse_string(field("dataset")?)?,
-                &parse_string(field("ordering")?)?,
-                &parse_string(field("algo")?)?,
-            );
-            let seconds: f64 = field("seconds")?
-                .parse()
-                .map_err(|e| format!("bad cell seconds: {e}"))?;
-            let checksum: u64 = field("checksum")?
-                .parse()
-                .map_err(|e| format!("bad cell checksum: {e}"))?;
-            state.cells.insert(key, RecoveredCell { seconds, checksum });
-        }
-        "row" => {
-            let field = |k: &str| obj.get(k).ok_or(format!("row missing {k:?}"));
-            let table = parse_string(field("table")?)?;
-            let key = parse_string(field("key")?)?;
-            let cells = parse_string_array(field("cells")?)?;
-            state.rows.insert((table, key), cells);
-        }
-        _ => {}
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gorder_obs::trace::config_hash;
-    use gorder_obs::{CellEvent, RowEvent, RunManifest, TraceEvent};
+    use gorder_obs::TraceEvent;
 
     const CFG: &str = "tool=test,scale=0.1";
 

@@ -20,6 +20,7 @@
 
 use crate::experiment::CellResult;
 use gorder_core::budget::{Budget, DegradeReason, ExecOutcome};
+use gorder_engine::parallel::panic_message;
 use gorder_graph::datasets::Dataset;
 use gorder_graph::{Graph, Permutation};
 use gorder_obs::OrderEvent;
@@ -208,7 +209,9 @@ where
         let budget = Budget::unlimited();
         return match catch_unwind(AssertUnwindSafe(|| f(&budget))) {
             Ok(outcome) => outcome,
-            Err(payload) => ExecOutcome::Failed(panic_message(payload.as_ref())),
+            Err(payload) => {
+                ExecOutcome::Failed(format!("panicked: {}", panic_message(payload.as_ref())))
+            }
         };
     };
     let budget = Budget::unlimited().with_timeout(timeout);
@@ -217,7 +220,9 @@ where
     let worker = std::thread::spawn(move || {
         let outcome = match catch_unwind(AssertUnwindSafe(|| f(&worker_budget))) {
             Ok(outcome) => outcome,
-            Err(payload) => ExecOutcome::Failed(panic_message(payload.as_ref())),
+            Err(payload) => {
+                ExecOutcome::Failed(format!("panicked: {}", panic_message(payload.as_ref())))
+            }
         };
         // the watchdog may already have walked away; that's fine
         let _ = tx.send(outcome);
@@ -242,16 +247,6 @@ where
                 }
             }
         }
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        format!("panicked: {s}")
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        format!("panicked: {s}")
-    } else {
-        "panicked (non-string payload)".to_string()
     }
 }
 

@@ -9,7 +9,7 @@
 //! manifest plus one `cell` line per completed cell on disk.
 
 use crate::robust::RobustCell;
-use crate::HarnessArgs;
+use crate::{HarnessArgs, ResumeState};
 use gorder_obs::{CellEvent, OrderEvent, RowEvent, RunManifest, TraceEvent, TraceSink};
 use std::fs::File;
 use std::io::BufWriter;
@@ -169,6 +169,29 @@ fn manifest_for(tool: &str, args: &HarnessArgs) -> RunManifest {
 /// manifest before trusting any recovered cell.
 pub fn expected_config_hash(tool: &str, args: &HarnessArgs) -> u64 {
     manifest_for(tool, args).config_hash
+}
+
+/// Reads the prior trace `--resume` names for `tool`, logging what it
+/// recovered; `None` without the flag, exit 2 on an unusable trace. Call
+/// it before [`SweepTrace::open`] truncates the `--trace-out` target:
+/// `--resume X --trace-out X` is the natural invocation after a crash.
+pub fn load_resume(tool: &str, args: &HarnessArgs) -> Option<ResumeState> {
+    let path = args.resume.as_ref()?;
+    let s = ResumeState::load(path, expected_config_hash(tool, args)).unwrap_or_else(|e| {
+        eprintln!("error: --resume {e}");
+        std::process::exit(2)
+    });
+    let torn = if s.truncated_final_line {
+        " (trace ends in a torn line — crash artifact, tolerated)"
+    } else {
+        ""
+    };
+    eprintln!(
+        "[{tool}] resuming from {path}: {} completed cells, {} rows{torn}",
+        s.cell_count(),
+        s.row_count()
+    );
+    Some(s)
 }
 
 #[cfg(test)]

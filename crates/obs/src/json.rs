@@ -1,7 +1,9 @@
 //! Hand-rolled JSON machinery for the one-object-per-line surfaces
 //! (`--stats`, the trace sink). No serde: the grammar these lines use is
 //! tiny (strings, numbers, booleans, null, flat arrays) and the writer
-//! controls key order, which the golden-schema tests pin.
+//! controls key order, which the golden-schema tests pin. [`JsonObject`]
+//! writes a line; [`parse_object`] reads one back and [`Fields`] decodes
+//! its values.
 
 use std::collections::BTreeMap;
 
@@ -169,9 +171,10 @@ impl JsonObject {
 /// mapped to their **raw value text**; rejects trailing garbage, raw
 /// control characters, bad escapes, and malformed numbers.
 ///
-/// This is the shared validation helper: the golden tests, the CI trace
-/// check, and `gorder-cli validate-trace` all go through it, so "parses
-/// here" means "parses everywhere downstream".
+/// Every trace line is read through it, by the one trace reader
+/// ([`crate::trace::read_jsonl`]) behind `gorder-cli validate-trace`,
+/// the gate baseline and sweep resume, so "parses here" means "parses
+/// everywhere downstream".
 pub fn parse_object(line: &str) -> Result<BTreeMap<String, String>, String> {
     struct P<'a> {
         b: &'a [u8],
@@ -380,6 +383,104 @@ pub fn parse_string_array(raw: &str) -> Result<Vec<String>, String> {
         }
     }
     Ok(out)
+}
+
+/// Typed getters over one parsed line — the raw-value map
+/// [`parse_object`] returns. Each getter inverts the [`JsonObject`]
+/// method of the same name; errors name the key.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Fields(BTreeMap<String, String>);
+
+impl Fields {
+    /// Parses one object line with [`parse_object`].
+    pub fn parse(line: &str) -> Result<Fields, String> {
+        parse_object(line).map(Fields)
+    }
+
+    /// The raw value text of `key`.
+    pub(crate) fn raw(&self, key: &str) -> Result<&str, String> {
+        self.0
+            .get(key)
+            .map(String::as_str)
+            .ok_or_else(|| format!("missing {key:?}"))
+    }
+
+    fn non_null(&self, key: &str) -> Result<Option<&str>, String> {
+        self.raw(key).map(|raw| (raw != "null").then_some(raw))
+    }
+
+    /// A string field.
+    pub fn str(&self, key: &str) -> Result<String, String> {
+        parse_string(self.raw(key)?).map_err(|e| format!("{key}: {e}"))
+    }
+
+    /// A string-or-null field.
+    pub fn opt_str(&self, key: &str) -> Result<Option<String>, String> {
+        self.non_null(key)?
+            .map(|raw| parse_string(raw).map_err(|e| format!("{key}: {e}")))
+            .transpose()
+    }
+
+    /// An unsigned integer field.
+    pub fn u64(&self, key: &str) -> Result<u64, String> {
+        parse_u64(key, self.raw(key)?)
+    }
+
+    /// An unsigned-integer-or-null field.
+    pub fn opt_u64(&self, key: &str) -> Result<Option<u64>, String> {
+        self.non_null(key)?
+            .map(|raw| parse_u64(key, raw))
+            .transpose()
+    }
+
+    /// A float field that must be finite (`null` is rejected).
+    pub fn f64(&self, key: &str) -> Result<f64, String> {
+        let raw = self.raw(key)?;
+        raw.parse()
+            .map_err(|_| format!("{key}: not a finite number: {raw}"))
+    }
+
+    /// A float field where `null` — what [`fmt_f64`] writes for a
+    /// non-finite value — reads back as NaN.
+    pub fn f64_or_nan(&self, key: &str) -> Result<f64, String> {
+        if self.raw(key)? == "null" {
+            Ok(f64::NAN)
+        } else {
+            self.f64(key)
+        }
+    }
+
+    /// A boolean field.
+    pub fn bool(&self, key: &str) -> Result<bool, String> {
+        match self.raw(key)? {
+            "true" => Ok(true),
+            "false" => Ok(false),
+            raw => Err(format!("{key}: not a boolean: {raw}")),
+        }
+    }
+
+    /// A flat array of unsigned integers.
+    pub fn u64_array(&self, key: &str) -> Result<Vec<u64>, String> {
+        let raw = self.raw(key)?;
+        let inner = raw
+            .strip_prefix('[')
+            .and_then(|r| r.strip_suffix(']'))
+            .ok_or_else(|| format!("{key}: not an array: {raw}"))?;
+        if inner.is_empty() {
+            return Ok(Vec::new());
+        }
+        inner.split(',').map(|v| parse_u64(key, v)).collect()
+    }
+
+    /// A flat array of strings.
+    pub fn str_array(&self, key: &str) -> Result<Vec<String>, String> {
+        parse_string_array(self.raw(key)?).map_err(|e| format!("{key}: {e}"))
+    }
+}
+
+fn parse_u64(key: &str, raw: &str) -> Result<u64, String> {
+    raw.parse()
+        .map_err(|_| format!("{key}: not an unsigned integer: {raw}"))
 }
 
 /// Extracts the top-level key sequence (insertion order) from one JSON

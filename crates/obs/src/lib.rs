@@ -20,8 +20,8 @@
 //!   line-by-line so an interrupted sweep leaves a readable prefix.
 //!
 //! [`json`] holds the hand-rolled escaping/formatting machinery shared
-//! with the CLI's `--stats` line, plus the strict parser the tests and
-//! `gorder-cli validate-trace` use to reject malformed output.
+//! with the CLI's `--stats` line, plus the strict parser and typed
+//! getters behind the one trace reader, [`trace::read_jsonl`].
 //!
 //! [`faults`] is the deterministic fault-injection layer the
 //! crash-safety tests arm (via `GORDER_FAULTS` or a `--faults` flag);
@@ -36,7 +36,7 @@ pub mod trace;
 pub use registry::{Histogram, Registry, Snapshot, SpanStats};
 pub use span::Span;
 pub use trace::{
-    validate_jsonl, validate_jsonl_lenient, CellEvent, GateEvent, KernelEvent, OrderEvent,
+    validate_jsonl, validate_jsonl_lenient, CellEvent, Fnv1a, GateEvent, KernelEvent, OrderEvent,
     PhaseEvent, RowEvent, RunManifest, ServeEvent, TraceEvent, TraceSink, TraceSummary,
     SCHEMA_VERSION,
 };

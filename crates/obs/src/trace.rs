@@ -12,6 +12,14 @@
 //! Key order within each record kind is fixed and pinned by the golden
 //! test (`tests/golden/trace_keys.txt`); any reordering or addition is a
 //! schema change and must bump [`SCHEMA_VERSION`].
+//!
+//! [`read_jsonl`] is the only reader of the format: it owns the line
+//! loop, the manifest-first and schema-version checks, the
+//! `line N (byte offset O)` error prefix and the torn-final-line rule.
+//! [`validate_jsonl`], the gate baseline parser and sweep resume are
+//! calls to it. The record kinds that are read back ([`RunManifest`],
+//! [`CellEvent`], [`RowEvent`], [`GateEvent`], [`OrderEvent`]) carry a
+//! `decode` next to the writer it inverts.
 
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -19,7 +27,7 @@ use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use crate::json::{parse_object, JsonObject};
+use crate::json::{Fields, JsonObject};
 use crate::registry::Snapshot;
 
 /// Version of the trace line schema. Bump when any record kind changes
@@ -46,16 +54,46 @@ use crate::registry::Snapshot;
 /// queueing/service timings.
 pub const SCHEMA_VERSION: u64 = 5;
 
+/// Incremental 64-bit FNV-1a: the one hash behind [`config_hash`], the
+/// permutation cache's graph digests and entry checksums, and the
+/// daemon's permutation checksums, so all of them share one id space.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv1a {
+    /// Folds `bytes` into the hash.
+    #[inline]
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of everything folded in so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+
+    /// The hash of `bytes` alone.
+    pub fn hash(bytes: &[u8]) -> u64 {
+        let mut h = Fnv1a::default();
+        h.update(bytes);
+        h.finish()
+    }
+}
+
 /// FNV-1a over the bytes of a canonical config string — cheap, stable
 /// across platforms, and good enough to answer "were these two runs
 /// configured identically?".
 pub fn config_hash(config: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in config.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    Fnv1a::hash(config.as_bytes())
 }
 
 /// The header line of every trace: enough provenance to re-run (or at
@@ -117,6 +155,20 @@ impl RunManifest {
             .u64("config_hash", self.config_hash)
             .u64("started_unix_secs", self.started_unix_secs)
             .finish()
+    }
+
+    /// Decodes a manifest line written by [`RunManifest::to_json_line`].
+    pub fn decode(f: &Fields) -> Result<Self, String> {
+        Ok(RunManifest {
+            tool: f.str("tool")?,
+            dataset: f.opt_str("dataset")?,
+            ordering: f.opt_str("ordering")?,
+            algo: f.opt_str("algo")?,
+            threads: f.u64("threads")?,
+            window: f.opt_u64("window")?,
+            config_hash: f.u64("config_hash")?,
+            started_unix_secs: f.u64("started_unix_secs")?,
+        })
     }
 }
 
@@ -450,6 +502,83 @@ impl TraceEvent {
     }
 }
 
+// Decoders for the record kinds something reads back: each inverts its
+// arm of `TraceEvent::to_json_line`.
+
+impl CellEvent {
+    /// Decodes a `cell` line; `null` seconds read back as NaN.
+    pub fn decode(f: &Fields) -> Result<Self, String> {
+        Ok(CellEvent {
+            dataset: f.str("dataset")?,
+            ordering: f.str("ordering")?,
+            algo: f.str("algo")?,
+            status: f.str("status")?,
+            seconds: f.f64_or_nan("seconds")?,
+            checksum: f.u64("checksum")?,
+        })
+    }
+}
+
+impl RowEvent {
+    /// Decodes a `row` line.
+    pub fn decode(f: &Fields) -> Result<Self, String> {
+        Ok(RowEvent {
+            table: f.str("table")?,
+            key: f.str("key")?,
+            cells: f.str_array("cells")?,
+        })
+    }
+}
+
+impl GateEvent {
+    /// Decodes a `gate` line.
+    pub fn decode(f: &Fields) -> Result<Self, String> {
+        Ok(GateEvent {
+            mode: f.str("mode")?,
+            dataset: f.str("dataset")?,
+            ordering: f.str("ordering")?,
+            algo: f.str("algo")?,
+            checksum: f.u64("checksum")?,
+            iterations: f.u64("iterations")?,
+            edges_relaxed: f.u64("edges_relaxed")?,
+            refs: f.u64("refs")?,
+            level_misses: f.u64_array("level_misses")?,
+            mem_accesses: f.u64("mem_accesses")?,
+            ops: f.u64("ops")?,
+            reuse_total: f.u64("reuse_total")?,
+            reuse_sum: f.f64("reuse_sum")?,
+            reuse_counts: f.u64_array("reuse_counts")?,
+            pairs: f.u64("pairs")?,
+            speedup: f.f64("speedup")?,
+            sign_p: f.f64("sign_p")?,
+            ci_lo: f.f64("ci_lo")?,
+            ci_hi: f.f64("ci_hi")?,
+        })
+    }
+}
+
+impl OrderEvent {
+    /// Decodes an `order` line.
+    pub fn decode(f: &Fields) -> Result<Self, String> {
+        Ok(OrderEvent {
+            dataset: f.opt_str("dataset")?,
+            name: f.str("name")?,
+            params: f.str("params")?,
+            seed: f.u64("seed")?,
+            graph_digest: f.u64("graph_digest")?,
+            identity: f.str("identity")?,
+            status: f.str("status")?,
+            seconds: f.f64("seconds")?,
+            nodes_placed: f.u64("nodes_placed")?,
+            heap_increments: f.u64("heap_increments")?,
+            heap_decrements: f.u64("heap_decrements")?,
+            heap_pops: f.u64("heap_pops")?,
+            threads_used: f.u64("threads_used")?,
+            cache_hit: f.bool("cache_hit")?,
+        })
+    }
+}
+
 /// Renders one registry metric as a trace line (kind `counter`, `gauge`,
 /// `span`, or `histogram`).
 fn metric_lines(snap: &Snapshot) -> Vec<String> {
@@ -565,7 +694,7 @@ impl<W: Write> TraceSink<W> {
     }
 }
 
-/// What [`validate_jsonl`] found in a well-formed trace.
+/// What [`read_jsonl`] found in a well-formed trace.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TraceSummary {
     /// Total lines (including the manifest).
@@ -580,12 +709,12 @@ pub struct TraceSummary {
 
 /// Validates a whole trace: every line must pass the strict JSON parser,
 /// the first line must be a `manifest` with a matching
-/// [`SCHEMA_VERSION`], and every line must carry a `kind`. This is the
-/// single validation path shared by the golden tests, the CI smoke step,
-/// and `gorder-cli validate-trace`. Errors name both the line number and
-/// the byte offset of the first invalid line.
+/// [`SCHEMA_VERSION`], and every line must carry a `kind`. This is
+/// [`read_jsonl`] with no per-record decoding — what the golden tests,
+/// the CI smoke step and `gorder-cli validate-trace` run. Errors name
+/// both the line number and the byte offset of the first invalid line.
 pub fn validate_jsonl(text: &str) -> Result<TraceSummary, String> {
-    validate(text, false)
+    read_jsonl(text, false, |_, _, _| Ok(()))
 }
 
 /// [`validate_jsonl`], but tolerating exactly one invalid **final** line
@@ -594,22 +723,32 @@ pub fn validate_jsonl(text: &str) -> Result<TraceSummary, String> {
 /// complete first line the trace identifies nothing. The summary's
 /// `truncated_final_line` reports whether the tolerance was used.
 pub fn validate_jsonl_lenient(text: &str) -> Result<TraceSummary, String> {
-    validate(text, true)
+    read_jsonl(text, true, |_, _, _| Ok(()))
 }
 
-fn validate(text: &str, lenient: bool) -> Result<TraceSummary, String> {
+/// The one trace reader. Walks `text` line by line; each line must
+/// parse ([`Fields::parse`]) and carry a `kind`, and line 1 must be a
+/// `manifest` with the supported [`SCHEMA_VERSION`]. Then
+/// `on_record(line_number, kind, fields)` decodes whatever the caller
+/// needs from the line. Every error, the callback's included, is
+/// prefixed `line N (byte offset O): `.
+///
+/// With `lenient`, one failing line is forgiven when it is the last one,
+/// unterminated and past the manifest — a line torn by a crash mid-write
+/// (complete lines are flushed newline-last, so they always have one).
+/// The summary's `truncated_final_line` reports it.
+pub fn read_jsonl(
+    text: &str,
+    lenient: bool,
+    mut on_record: impl FnMut(usize, &str, &Fields) -> Result<(), String>,
+) -> Result<TraceSummary, String> {
     let mut summary = TraceSummary::default();
     let mut offset = 0usize;
     for (idx, raw) in text.split_inclusive('\n').enumerate() {
         let n = idx + 1;
         let line = raw.strip_suffix('\n').unwrap_or(raw);
-        // A torn final line is forgivable only past the manifest, only
-        // at the very end of the text, and only without its newline
-        // (lines are flushed newline-last, so a complete line always
-        // has one).
         let torn_tolerable = lenient && n >= 2 && offset + raw.len() == text.len() && raw == line;
-        let checked = validate_line(line, n, offset, idx == 0);
-        match checked {
+        match read_line(line, n, &mut on_record) {
             Ok(kind) => {
                 *summary.by_kind.entry(kind).or_insert(0) += 1;
                 summary.lines = n;
@@ -618,7 +757,7 @@ fn validate(text: &str, lenient: bool) -> Result<TraceSummary, String> {
                 summary.truncated_final_line = true;
                 break;
             }
-            Err(e) => return Err(e),
+            Err(e) => return Err(format!("line {n} (byte offset {offset}): {e}")),
         }
         offset += raw.len();
     }
@@ -628,34 +767,35 @@ fn validate(text: &str, lenient: bool) -> Result<TraceSummary, String> {
     Ok(summary)
 }
 
-/// Checks one line; returns its `kind` or an error naming line `n` and
-/// its starting byte `offset`.
-fn validate_line(line: &str, n: usize, offset: usize, first: bool) -> Result<String, String> {
-    let at = |e: String| format!("line {n} (byte offset {offset}): {e}");
-    let obj = parse_object(line).map_err(&at)?;
-    let kind = obj
-        .get("kind")
-        .ok_or_else(|| at("missing \"kind\"".to_string()))?;
-    let kind = kind.trim_matches('"').to_string();
-    if first {
+/// Checks line `n` and hands it to `on_record`; returns its `kind`.
+fn read_line(
+    line: &str,
+    n: usize,
+    on_record: &mut impl FnMut(usize, &str, &Fields) -> Result<(), String>,
+) -> Result<String, String> {
+    let fields = Fields::parse(line)?;
+    let kind = fields.raw("kind")?.trim_matches('"').to_string();
+    if n == 1 {
         if kind != "manifest" {
-            return Err(at(format!("first line must be a manifest, got {kind:?}")));
+            return Err(format!("first line must be a manifest, got {kind:?}"));
         }
-        let ver = obj
-            .get("schema_version")
-            .ok_or_else(|| at("manifest missing schema_version".to_string()))?;
-        if ver != &SCHEMA_VERSION.to_string() {
-            return Err(at(format!(
+        let ver = fields
+            .raw("schema_version")
+            .map_err(|_| "manifest missing schema_version".to_string())?;
+        if ver != SCHEMA_VERSION.to_string() {
+            return Err(format!(
                 "schema_version {ver} != supported {SCHEMA_VERSION}"
-            )));
+            ));
         }
     }
+    on_record(n, &kind, &fields)?;
     Ok(kind)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::parse_object;
     use crate::registry::Registry;
 
     fn demo_manifest() -> RunManifest {

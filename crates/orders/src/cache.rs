@@ -25,38 +25,12 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use gorder_graph::{Graph, NodeId, Permutation};
+use gorder_obs::Fnv1a;
 
 use crate::OrderingAlgorithm;
 
 const MAGIC: &[u8; 4] = b"GOPC";
 const FORMAT_VERSION: u32 = 1;
-
-/// Incremental FNV-1a (same constants as `gorder_obs`'s `config_hash`,
-/// so digests and config hashes live in one id space).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = Fnv::new();
-    h.update(bytes);
-    h.finish()
-}
 
 /// FNV-1a digest of a graph's CSR content: node count, out-offsets,
 /// out-neighbours (all canonicalised little-endian). Two graphs digest
@@ -66,7 +40,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 pub fn graph_digest(g: &Graph) -> u64 {
     gorder_obs::global().counter_add("order.graph_digests", 1);
     let (offsets, neighbors) = g.out_csr();
-    let mut h = Fnv::new();
+    let mut h = Fnv1a::default();
     h.update(&g.n().to_le_bytes());
     for o in offsets {
         h.update(&o.to_le_bytes());
@@ -119,7 +93,7 @@ impl CacheKey {
 
     /// Cache file name: FNV of the identity string, hex, `.perm`.
     pub fn file_name(&self) -> String {
-        format!("{:016x}.perm", fnv1a(self.identity().as_bytes()))
+        format!("{:016x}.perm", Fnv1a::hash(self.identity().as_bytes()))
     }
 }
 
@@ -218,7 +192,7 @@ fn encode(key: &CacheKey, perm: &Permutation) -> Vec<u8> {
     for u in 0..n {
         out.extend_from_slice(&perm.apply(u).to_le_bytes());
     }
-    let check = fnv1a(&out);
+    let check = Fnv1a::hash(&out);
     out.extend_from_slice(&check.to_le_bytes());
     out
 }
@@ -229,7 +203,7 @@ fn decode(bytes: &[u8], key: &CacheKey, n: u32) -> Result<Permutation, String> {
     }
     let (payload, check_bytes) = bytes.split_at(bytes.len() - 8);
     let stored = u64::from_le_bytes(check_bytes.try_into().expect("8 bytes"));
-    if fnv1a(payload) != stored {
+    if Fnv1a::hash(payload) != stored {
         return Err("checksum mismatch".to_string());
     }
     let mut r = payload;

@@ -59,7 +59,7 @@ use gorder_core::budget::{Budget, ExecOutcome};
 use gorder_engine::parallel::{panic_message, run_tasks_outcomes};
 use gorder_graph::datasets;
 use gorder_graph::{Graph, Permutation};
-use gorder_obs::{faults, ServeEvent, TraceEvent, TraceSink};
+use gorder_obs::{faults, Fnv1a, ServeEvent, TraceEvent, TraceSink};
 use gorder_orders::{
     graph_digest, ordering_by_name, resolve_ordering, run_ordering, Admission, CacheKey, ExecPlan,
     LayoutCache, OrderCache, OrderingAlgorithm, SingleFlight,
@@ -857,14 +857,15 @@ impl Server {
                 Some(&spec.dataset),
                 || run_ordering(o, &ds.graph, ExecPlan::Serial, &budget),
             );
+            // Every resolution leaves its `order` record, failed ones too.
+            let cache_hit = event.cache_hit;
+            self.trace_event(TraceEvent::Order(event));
             let (perm, degraded) = match outcome {
                 ExecOutcome::Completed(perm) => (perm, false),
                 ExecOutcome::Degraded(perm, _) => (perm, true),
                 ExecOutcome::TimedOut => return OrderOutcome::TimedOut,
                 ExecOutcome::Failed(msg) => return OrderOutcome::Failed(msg),
             };
-            let cache_hit = event.cache_hit;
-            self.trace_event(TraceEvent::Order(event));
             let layout = (wants_layout && !degraded)
                 .then(|| self.build_layout(&ds.graph, &perm, identity, true));
             OrderOutcome::Ready {
@@ -973,14 +974,11 @@ fn control_event(op: &str, status: &str, seconds: f64) -> ServeEvent {
 }
 
 fn perm_checksum(perm: &Permutation) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv1a::default();
     for &v in perm.as_slice() {
-        for b in v.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h.update(&v.to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 fn write_line<W: Write>(w: &mut W, line: &str) -> std::io::Result<()> {

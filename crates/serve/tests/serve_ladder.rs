@@ -606,6 +606,49 @@ fn relabel_invariant_kernel_checksum_survives_every_ordering() {
 }
 
 #[test]
+fn a_timed_out_resolution_still_leaves_its_order_record() {
+    let _guard = fault_lock();
+    let dir = tmpdir("order-timeout");
+    let trace = dir.join("trace.jsonl");
+    let mut cfg = test_config();
+    cfg.trace_path = Some(trace.clone());
+    let server = Running::start(cfg);
+    let policy = RetryPolicy::default();
+
+    // RCM has no anytime path: a zero budget times it out, and the run
+    // falls to the ladder floor.
+    let rushed = Request::Run(WorkSpec {
+        timeout_ms: Some(0),
+        ..spec(Some("RCM"), Some("BFS"))
+    });
+    let reply = call(&server.addr(), &rushed, &policy).unwrap();
+    assert_eq!(reply.tier.as_deref(), Some("original"));
+    server.sigterm();
+    server.join();
+
+    // The strict reader behind validate_jsonl, decoding as it goes.
+    let body = std::fs::read_to_string(&trace).unwrap();
+    let mut orders = Vec::new();
+    let mut tiers = Vec::new();
+    gorder_obs::trace::read_jsonl(&body, false, |_, kind, f| {
+        match kind {
+            "order" => orders.push(gorder_obs::OrderEvent::decode(f)?),
+            "serve" => tiers.push(f.opt_str("tier")?),
+            _ => {}
+        }
+        Ok(())
+    })
+    .expect("trace validates");
+    assert_eq!(orders.len(), 1, "{orders:?}");
+    assert_eq!(
+        (orders[0].name.as_str(), orders[0].status.as_str()),
+        ("RCM", "timed-out")
+    );
+    assert_eq!(tiers, vec![Some("original".to_string())]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn degraded_layouts_are_never_admitted() {
     let _guard = fault_lock();
     let dir = tmpdir("layout-degraded");

@@ -9,6 +9,7 @@ use gorder_bench::schema::{FIG5_HEADER, FIG5_KNOWN_HEADERS, TABLE2_HEADER};
 use gorder_cachesim::Measure;
 use gorder_cli::run_algorithm_budgeted;
 use gorder_graph::Graph;
+use gorder_obs::json::top_level_keys;
 use std::path::Path;
 
 fn golden(name: &str) -> String {
@@ -49,36 +50,6 @@ fn fig6_reader_accepts_the_written_generation() {
     );
 }
 
-/// Extracts the top-level key sequence from the one-line stats JSON
-/// object: a `"key":` at bracket depth 1 (values may be strings or
-/// arrays, so both depth and in-string state are tracked).
-fn top_level_keys(line: &str) -> Vec<String> {
-    let bytes = line.as_bytes();
-    let mut keys = Vec::new();
-    let mut depth = 0i32;
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'{' | b'[' => depth += 1,
-            b'}' | b']' => depth -= 1,
-            b'"' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < bytes.len() && bytes[j] != b'"' {
-                    j += if bytes[j] == b'\\' { 2 } else { 1 };
-                }
-                if depth == 1 && bytes.get(j + 1) == Some(&b':') {
-                    keys.push(line[start..j].to_string());
-                }
-                i = j;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    keys
-}
-
 #[test]
 fn stats_json_keys_match_golden() {
     let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (0, 3)]);
@@ -95,12 +66,6 @@ fn stats_json_keys_match_golden() {
         "--stats JSON schema drifted; update tests/golden/stats_keys.txt \
          and notify downstream consumers (line: {line})"
     );
-}
-
-#[test]
-fn key_extractor_handles_strings_and_arrays() {
-    let keys = top_level_keys(r#"{"a":"x:y","b":[1,2],"c":{"inner":1},"d":null}"#);
-    assert_eq!(keys, vec!["a", "b", "c", "d"]);
 }
 
 #[test]
