@@ -1,5 +1,12 @@
 //! Minimal hand-rolled argument parsing shared by the experiment binaries
-//! (no CLI dependency — the flags are few and fixed).
+//! (no CLI dependency — the flags are few and fixed), and the preamble
+//! they share: arming `--faults`, opening `--order-cache` and resolving
+//! `--datasets`.
+
+use crate::experiment::resolve_orderings;
+use crate::robust::Sweep;
+use gorder_graph::datasets::{self, Dataset};
+use gorder_orders::OrderCache;
 
 /// Common harness flags.
 #[derive(Debug, Clone)]
@@ -103,7 +110,7 @@ impl HarnessArgs {
                         die("--cell-timeout needs a positive number of seconds")
                     });
                     if !secs.is_finite() || secs <= 0.0 {
-                        die::<f64>("--cell-timeout must be positive");
+                        die("--cell-timeout must be positive");
                     }
                     out.cell_timeout = Some(secs);
                 }
@@ -113,7 +120,7 @@ impl HarnessArgs {
                         .and_then(|v| v.parse().ok())
                         .unwrap_or_else(|| die("--threads needs a positive integer"));
                     if threads == 0 {
-                        die::<u32>("--threads must be at least 1");
+                        die("--threads must be at least 1");
                     }
                     out.threads = threads;
                 }
@@ -164,7 +171,7 @@ impl HarnessArgs {
             }
         }
         if out.scale <= 0.0 {
-            die::<f64>("--scale must be positive");
+            die("--scale must be positive");
         }
         out
     }
@@ -178,9 +185,77 @@ impl HarnessArgs {
     pub fn cell_timeout_duration(&self) -> Option<std::time::Duration> {
         self.cell_timeout.map(std::time::Duration::from_secs_f64)
     }
+
+    /// Arms the deterministic fault-injection layer from `--faults` (same
+    /// grammar as `GORDER_FAULTS`; crash-safety tests only). A bad spec
+    /// exits 2.
+    pub fn arm_faults(&self) {
+        if let Some(spec) = &self.faults {
+            if let Err(e) = gorder_obs::faults::arm_from_spec(spec) {
+                die(&format!("--faults {e}"));
+            }
+        }
+    }
+
+    /// The permutation cache `--order-cache` names, if any (a warm run
+    /// computes no ordering). A directory that cannot be opened exits 2.
+    pub fn open_order_cache(&self) -> Option<OrderCache> {
+        let dir = self.order_cache.as_ref()?;
+        let cache = OrderCache::new(std::path::Path::new(dir));
+        Some(cache.unwrap_or_else(|e| die(&format!("--order-cache {dir}: {e}"))))
+    }
+
+    /// The datasets `--datasets` names, in the order given. Without the
+    /// flag: `only`, or all nine recipes when `only` is `None`. An
+    /// unknown name, or one outside `only`, is an error naming it, so a
+    /// binary can refuse it before any graph is built.
+    pub fn resolve_datasets(&self, only: Option<&[&str]>) -> Result<Vec<Dataset>, String> {
+        let pool: Vec<Dataset> = match only {
+            Some(only) => only.iter().filter_map(|n| datasets::by_name(n)).collect(),
+            None => datasets::all(),
+        };
+        let Some(names) = &self.datasets else {
+            return Ok(pool);
+        };
+        let pick = |n: &String| match pool.iter().find(|d| d.name == n) {
+            Some(d) => Ok(*d),
+            None if datasets::by_name(n).is_some() => Err(format!(
+                "--datasets: this grid runs on {:?} only, not {n:?}",
+                only.unwrap_or_default()
+            )),
+            None => Err(format!("--datasets: unknown dataset {n:?}")),
+        };
+        names.iter().map(pick).collect()
+    }
+
+    /// The grid these flags describe over `kernels`: `--datasets`
+    /// resolved within `only`, `--orderings` resolved against the paper's
+    /// ten (all fourteen when `extended`), their `--scale`, `--seed`,
+    /// `--cell-timeout` and `--order-cache`, and no recovery. A bad name
+    /// or cache directory exits 2 before any graph is built.
+    pub fn sweep<'a, T>(
+        &self,
+        only: Option<&[&str]>,
+        extended: bool,
+        kernels: Vec<&'static str>,
+    ) -> Sweep<'a, T> {
+        let datasets = self.resolve_datasets(only).unwrap_or_else(|e| die(&e));
+        let orderings = resolve_orderings(&self.orderings, extended, self.seed);
+        Sweep {
+            datasets,
+            scale: self.scale,
+            orderings: orderings.unwrap_or_else(|e| die(&e)),
+            kernels,
+            seed: self.seed,
+            timeout: self.cell_timeout_duration(),
+            cache: self.open_order_cache(),
+            recovered: None,
+        }
+    }
 }
 
-fn die<T>(msg: &str) -> T {
+/// Prints `error: {msg}` and exits 2, the harness's usage-error code.
+pub fn die(msg: &str) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2)
 }
@@ -190,7 +265,7 @@ fn die<T>(msg: &str) -> T {
 fn parse_list(raw: String, flag: &str) -> Vec<String> {
     let items: Vec<String> = raw.split(',').map(|s| s.trim().to_string()).collect();
     if items.iter().any(|s| s.is_empty()) {
-        die::<()>(&format!("{flag} needs a non-empty comma-separated list"));
+        die(&format!("{flag} needs a non-empty comma-separated list"));
     }
     items
 }
@@ -295,6 +370,26 @@ mod tests {
         );
         assert_eq!(a.algos.as_deref(), Some(&["PR".to_string()][..]));
         assert_eq!(parse(&[]).datasets, None);
+    }
+
+    #[test]
+    fn datasets_resolve_in_the_order_given_within_the_grid() {
+        let names = |ds: Vec<Dataset>| ds.iter().map(|d| d.name).collect::<Vec<_>>();
+        let pair: &[&str] = &["flickr", "sdarc"];
+        assert_eq!(names(parse(&[]).resolve_datasets(None).unwrap()).len(), 9);
+        assert_eq!(
+            names(parse(&[]).resolve_datasets(Some(pair)).unwrap()),
+            pair
+        );
+        let a = parse(&["--datasets", "sdarc,flickr"]);
+        assert_eq!(
+            names(a.resolve_datasets(Some(pair)).unwrap()),
+            ["sdarc", "flickr"]
+        );
+        let outside = parse(&["--datasets", "epinion"]).resolve_datasets(Some(pair));
+        assert!(outside.unwrap_err().contains("not \"epinion\""));
+        let unknown = parse(&["--datasets", "nope"]).resolve_datasets(None);
+        assert!(unknown.unwrap_err().contains("unknown dataset \"nope\""));
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! is exactly MinLA's objective but only a proxy for cache locality.
 
 use gorder_bench::fmt::{write_csv, Table};
-use gorder_bench::HarnessArgs;
+use gorder_bench::{sweep, HarnessArgs, Job, Layout};
 use gorder_graph::compress::CompressedGraph;
+use std::sync::Arc;
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -19,33 +20,43 @@ fn main() {
         "Compression: gap+varint bits per edge, per ordering (scale = {})\n",
         args.scale
     );
-    let datasets = gorder_graph::datasets::all();
-    let orderings = gorder_orders::all(args.seed);
-    let mut header = vec!["Ordering".to_string()];
-    header.extend(datasets.iter().map(|d| d.name.to_string()));
-    let mut t = Table::new(header);
-    let mut csv_rows = Vec::new();
+    // unknown names fail before any graph is built
+    let grid = args.sweep(None, false, vec!["compress"]);
+    let names: Vec<&str> = grid.orderings.iter().map(|o| o.name()).collect();
+    let mut measure = |l: &Layout<'_>, _algo: &'static str| -> Option<Job<f64>> {
+        let g = Arc::clone(l.graph);
+        Some(Box::new(move || {
+            CompressedGraph::compress(&g).bits_per_edge()
+        }))
+    };
+    let mut swept = sweep(&grid, &mut measure, &mut |_| {}, &mut |_| {});
 
-    let graphs: Vec<_> = datasets.iter().map(|d| d.build(args.scale)).collect();
-    for o in &orderings {
-        let mut row = vec![o.name().to_string()];
-        for (d, g) in datasets.iter().zip(&graphs) {
-            let perm = o.compute(g);
-            let bits = CompressedGraph::compress(&g.relabel(&perm)).bits_per_edge();
-            row.push(format!("{bits:.2}"));
+    // the sweep is dataset-major; the table and CSV are ordering-major
+    swept
+        .cells
+        .sort_by_key(|c| names.iter().position(|n| *n == c.ordering));
+    let datasets = grid.datasets.iter().map(|d| d.name);
+    let mut t = Table::new(["Ordering"].into_iter().chain(datasets));
+    let mut csv_rows = Vec::new();
+    for (name, row) in names.iter().zip(swept.cells.chunks(grid.datasets.len())) {
+        let mut shown = vec![name.to_string()];
+        for c in row {
+            let Some(bits) = c.value else {
+                shown.push(c.status.label().to_string());
+                continue;
+            };
+            shown.push(format!("{bits:.2}"));
             csv_rows.push(vec![
-                o.name().to_string(),
-                d.name.to_string(),
+                name.to_string(),
+                c.dataset.to_string(),
                 format!("{bits:.4}"),
             ]);
         }
-        t.row(row);
-        eprintln!("[compression] {} done", o.name());
+        t.row(shown);
     }
     // reference: raw u32 adjacency
-    let mut raw = vec!["(raw u32)".to_string()];
-    raw.extend(graphs.iter().map(|_| "32.00".to_string()));
-    t.row(raw);
+    let raw = grid.datasets.iter().map(|_| "32.00");
+    t.row(["(raw u32)"].into_iter().chain(raw));
 
     t.print();
     println!("\n(lower is better; expect MinLA/MinLogA/Gorder smallest, Random largest)");
@@ -57,4 +68,5 @@ fn main() {
         Ok(p) => println!("wrote {}", p.display()),
         Err(e) => eprintln!("csv write failed: {e}"),
     }
+    swept.finish("compression");
 }

@@ -9,20 +9,14 @@
 //! stall bars visibly smaller under Gorder, total below 1.0.
 
 use gorder_bench::fmt::{write_csv, Table};
-use gorder_bench::HarnessArgs;
+use gorder_bench::{resolve_orderings, sweep, HarnessArgs, Job, Layout, Sweep};
 use gorder_cachesim::trace::replay;
-use gorder_cachesim::{CacheHierarchy, HierarchyConfig, StallModel, Tracer};
-use gorder_core::Gorder;
+use gorder_cachesim::{CacheHierarchy, HierarchyConfig, StallBreakdown, StallModel, Tracer};
 use gorder_engine::KernelCtx;
+use std::sync::Arc;
 
 fn main() {
     let args = HarnessArgs::parse();
-    let g = gorder_graph::datasets::sdarc_like().build(args.scale);
-    println!(
-        "Figure 1: CPU execute vs cache stall on sdarc (n = {}, m = {})\n",
-        g.n(),
-        g.m()
-    );
     // The synthetic datasets are ~100× smaller than the paper's, so the
     // scaled-down hierarchy keeps working-set-to-cache ratios comparable;
     // pass --xeon for the full Xeon E5 geometry.
@@ -32,15 +26,41 @@ fn main() {
         HierarchyConfig::scaled_down()
     };
     let model = StallModel::skylake();
-    let perm = Gorder::with_defaults().compute(&g);
-    let reordered = g.relabel(&perm);
     let ctx = KernelCtx {
         pr_iterations: if args.quick { 5 } else { 20 },
         diameter_samples: if args.quick { 2 } else { 4 },
         seed: args.seed,
         ..Default::default()
     };
+    let sdarc = gorder_graph::datasets::sdarc_like();
+    let pair = Some(vec!["Original".to_string(), "Gorder".to_string()]);
+    let grid = Sweep {
+        datasets: vec![sdarc],
+        scale: args.scale,
+        orderings: resolve_orderings(&pair, false, args.seed).expect("registry names"),
+        kernels: gorder_engine::kernel_names(),
+        seed: args.seed,
+        timeout: args.cell_timeout_duration(),
+        cache: args.open_order_cache(),
+        recovered: None,
+    };
+    let mut measure = |l: &Layout<'_>, algo: &'static str| -> Option<Job<StallBreakdown>> {
+        let g = Arc::clone(l.graph);
+        let ctx = KernelCtx {
+            source: Some(l.source),
+            ..ctx.clone()
+        };
+        let (hconfig, model) = (hconfig.clone(), model.clone());
+        Some(Box::new(move || {
+            let mut tracer = Tracer::new(CacheHierarchy::new(&hconfig));
+            replay(algo, &g, &mut tracer, &ctx).expect("known algorithm");
+            tracer.breakdown(&model)
+        }))
+    };
+    let swept = sweep(&grid, &mut measure, &mut |_| {}, &mut |_| {});
 
+    let (n, m) = swept.size(&sdarc, args.scale);
+    println!("Figure 1: CPU execute vs cache stall on sdarc (n = {n}, m = {m})\n");
     let mut t = Table::new([
         "Algo",
         "orig CPU",
@@ -51,14 +71,14 @@ fn main() {
         "gord total",
     ]);
     let mut csv_rows = Vec::new();
-    for name in gorder_engine::kernel_names() {
-        let run = |graph: &gorder_graph::Graph| {
-            let mut tracer = Tracer::new(CacheHierarchy::new(&hconfig));
-            replay(name, graph, &mut tracer, &ctx).expect("known algorithm");
-            tracer.breakdown(&model)
+    // the sweep is ordering-major: each kernel's Original cell pairs with
+    // the Gorder cell one pool later
+    let (original, gorder) = swept.cells.split_at(swept.cells.len() / 2);
+    for (o, g) in original.iter().zip(gorder) {
+        let (Some(orig), Some(gord)) = (&o.value, &g.value) else {
+            continue;
         };
-        let orig = run(&g);
-        let gord = run(&reordered);
+        let name = o.algo;
         let norm = orig.total().max(1.0);
         t.row([
             name.to_string(),
@@ -99,4 +119,5 @@ fn main() {
         Ok(p) => println!("wrote {}", p.display()),
         Err(e) => eprintln!("csv write failed: {e}"),
     }
+    swept.finish("fig1");
 }

@@ -15,30 +15,18 @@
 //! BFS/SP/Diam; ChDFS best on DFS; Random worst; LDG barely better than
 //! Random; Original beats MinLA/MinLogA.
 
+use gorder_bench::args::die;
 use gorder_bench::fmt::{write_csv, Table};
 use gorder_bench::schema::FIG5_HEADER;
 use gorder_bench::timing::pretty_secs;
 use gorder_bench::{
-    load_resume, run_grid, CellResult, CellStatus, GridConfig, HarnessArgs, RobustCell, Sweep,
-    SweepTrace,
+    load_resume, sweep, CellResult, GridConfig, HarnessArgs, Sweep, SweepCell, SweepTrace,
 };
-use gorder_orders::OrderCache;
 use std::cell::RefCell;
-
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2)
-}
 
 fn main() {
     let args = HarnessArgs::parse();
-    // --faults arms the deterministic fault-injection layer (same
-    // grammar as GORDER_FAULTS) — crash-safety tests only.
-    if let Some(spec) = &args.faults {
-        if let Err(e) = gorder_obs::faults::arm_from_spec(spec) {
-            die(&format!("--faults {e}"));
-        }
-    }
+    args.arm_faults();
     // --extended adds HubSort/HubCluster/DBG/Bisect and WCC/Tri/LP/BC;
     // --threads N parallelises the engine-backed kernels in wall-clock
     // mode (simulated cells always trace serially and report threads 1);
@@ -74,20 +62,11 @@ fn main() {
     // RefCell: the sweep feeds the trace from two closures at once (the
     // cell observer and the order-event observer).
     let trace = RefCell::new(SweepTrace::open("fig5", &args));
-    // --order-cache DIR reuses permutations across runs: content-addressed
-    // by graph digest + ordering identity, so a warm second run computes
-    // zero orderings and reproduces the CSV byte-identically.
-    let cache = args.order_cache.as_ref().map(|dir| {
-        OrderCache::new(std::path::Path::new(dir))
-            .unwrap_or_else(|e| die(&format!("--order-cache {dir}: {e}")))
-    });
-    // A cell is recovered only when both its `cell` line and its
-    // verbatim `row` line survived — a crash between the two lines
-    // re-runs the cell rather than guessing at the missing half.
     let recovered = |dataset: &str, ordering: &str, algo: &str| -> Option<CellResult> {
-        let s = resume.as_ref()?;
-        let cell = s.completed_cell(dataset, ordering, algo)?;
-        s.row(csv_name, &format!("{dataset}|{algo}|{ordering}"))?;
+        let key = format!("{dataset}|{algo}|{ordering}");
+        let state = resume.as_ref()?;
+        let cell = state.completed_cell(dataset, ordering, algo)?;
+        state.row(csv_name, &key)?;
         Some(CellResult {
             seconds: cell.seconds,
             checksum: cell.checksum,
@@ -96,7 +75,7 @@ fn main() {
     };
     let grid = Sweep {
         timeout: args.cell_timeout_duration(),
-        cache: cache.as_ref(),
+        cache: args.open_order_cache(),
         recovered: Some(&recovered),
         ..grid
     };
@@ -106,11 +85,10 @@ fn main() {
         cfg.sim_measure()
     };
     let mut csv_rows: Vec<Vec<String>> = Vec::new();
-    let mut on_cell = |c: &RobustCell| {
+    let mut on_cell = |c: &SweepCell<CellResult>| {
         let mut trace = trace.borrow_mut();
-        trace.cell(c);
-        if c.status.is_usable() {
-            let r = &c.result;
+        trace.cell(c, |r| (r.seconds, r.checksum));
+        if let Some(r) = &c.value {
             let key = format!("{}|{}|{}", r.dataset, r.algo, r.ordering);
             // prefer the recovered verbatim row (stats of recovered
             // cells are zeroed; the prior run's bytes are the truth)
@@ -123,19 +101,13 @@ fn main() {
             csv_rows.push(row);
         }
     };
-    let report = run_grid(
+    let swept = sweep(
         &grid,
         &mut *measure,
         &mut |e| trace.borrow_mut().order(e),
         &mut on_cell,
     );
-    report.print_skip_report();
-    let cells = report.usable();
-    let failed = report
-        .cells
-        .iter()
-        .filter(|c| matches!(c.status, CellStatus::Failed(_)))
-        .count();
+    let cells = swept.usable();
 
     match write_csv(csv_name, FIG5_HEADER, &csv_rows) {
         Ok(p) => eprintln!("[fig5] wrote {}", p.display()),
@@ -198,14 +170,7 @@ fn main() {
             println!();
         }
     }
-    // A failed cell (a panic, or a permutation of the wrong length) is a
-    // fault in the program, not a budget decision like a timeout: the
-    // grid, CSV and trace are still written whole, but the run exits 1
-    // so a script or CI step sees it.
-    if failed > 0 {
-        eprintln!("[fig5] {failed} cell(s) failed");
-        std::process::exit(1);
-    }
+    swept.finish("fig5");
 }
 
 /// One `results/fig5*.csv` row for a freshly computed cell — the exact

@@ -10,9 +10,10 @@
 //! near-first elsewhere; RCM and ChDFS its only real challengers; Random
 //! last almost always, LDG just above it.
 
+use gorder_bench::args::die;
 use gorder_bench::fmt::{read_csv, Table};
 use gorder_bench::schema::FIG5_KNOWN_HEADERS;
-use gorder_bench::{rank_counts, run_grid, CellResult, GridConfig, HarnessArgs};
+use gorder_bench::{rank_counts, sweep, CellResult, GridConfig, HarnessArgs};
 use gorder_engine::KernelStats;
 use std::path::Path;
 
@@ -106,12 +107,7 @@ fn load_or_run(args: &HarnessArgs) -> Vec<CellResult> {
     } else {
         cfg.sim_measure()
     };
-    let report = run_grid(&grid, &mut *measure, &mut |_| {}, &mut |_| {});
-    report.print_skip_report();
-    report.usable()
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2)
+    let swept = sweep(&grid, &mut *measure, &mut |_| {}, &mut |_| {});
+    swept.print_skip_report();
+    swept.usable()
 }

@@ -8,10 +8,14 @@
 //! Random and LDG the highest; MinLA/MinLogA/Original in between.
 
 use gorder_bench::fmt::{write_csv, Table};
-use gorder_bench::HarnessArgs;
+use gorder_bench::{sweep, HarnessArgs, Job, Layout};
 use gorder_cachesim::trace::pagerank;
-use gorder_cachesim::{CacheHierarchy, HierarchyConfig, Tracer};
+use gorder_cachesim::{CacheHierarchy, CacheStats, HierarchyConfig, Tracer};
 use gorder_engine::KernelCtx;
+use std::sync::Arc;
+
+/// Table 3a's and 3b's datasets.
+const TABLE3_DATASETS: [&str; 2] = ["flickr", "sdarc"];
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -25,16 +29,30 @@ fn main() {
         seed: args.seed,
         ..Default::default()
     };
+    // Unknown names, and datasets outside the table's pair, fail before
+    // any graph is built.
+    let grid = args.sweep(Some(&TABLE3_DATASETS), false, vec!["PR"]);
+    let mut measure = |l: &Layout<'_>, _algo: &'static str| -> Option<Job<CacheStats>> {
+        let (g, hconfig, ctx) = (Arc::clone(l.graph), hconfig.clone(), ctx.clone());
+        Some(Box::new(move || {
+            let mut tracer = Tracer::new(CacheHierarchy::new(&hconfig));
+            pagerank(&g, &mut tracer, &ctx);
+            tracer.stats()
+        }))
+    };
+    let swept = sweep(&grid, &mut measure, &mut |_| {}, &mut |_| {});
+
     let mut csv_rows = Vec::new();
-    for (label, d) in [
-        ("3a (flickr)", gorder_graph::datasets::flickr_like()),
-        ("3b (sdarc)", gorder_graph::datasets::sdarc_like()),
-    ] {
-        let g = d.build(args.scale);
+    for d in &grid.datasets {
+        let part = if d.name == TABLE3_DATASETS[0] {
+            'a'
+        } else {
+            'b'
+        };
+        let (n, m) = swept.size(d, args.scale);
         println!(
-            "Table {label}: PageRank cache statistics (n = {}, m = {})\n",
-            g.n(),
-            g.m()
+            "Table 3{part} ({}): PageRank cache statistics (n = {n}, m = {m})\n",
+            d.name
         );
         let mut t = Table::new([
             "Order",
@@ -44,14 +62,10 @@ fn main() {
             "L3-r",
             "Cache-mr",
         ]);
-        for o in gorder_orders::all(args.seed) {
-            let perm = o.compute(&g);
-            let rg = g.relabel(&perm);
-            let mut tracer = Tracer::new(CacheHierarchy::new(&hconfig));
-            pagerank(&rg, &mut tracer, &ctx);
-            let s = tracer.stats();
+        for c in swept.cells.iter().filter(|c| c.dataset == d.name) {
+            let Some(s) = &c.value else { continue };
             t.row([
-                o.name().to_string(),
+                c.ordering.to_string(),
                 format!("{:.1}", s.l1_refs as f64 / 1e6),
                 format!("{:.1}%", s.l1_miss_rate * 100.0),
                 format!("{:.2}", s.llc_refs as f64 / 1e6),
@@ -60,19 +74,13 @@ fn main() {
             ]);
             csv_rows.push(vec![
                 d.name.to_string(),
-                o.name().to_string(),
+                c.ordering.to_string(),
                 s.l1_refs.to_string(),
                 format!("{:.5}", s.l1_miss_rate),
                 s.llc_refs.to_string(),
                 format!("{:.5}", s.llc_ratio),
                 format!("{:.5}", s.cache_miss_rate),
             ]);
-            eprintln!(
-                "[table3] {} on {}: L1-mr {:.1}%",
-                o.name(),
-                d.name,
-                s.l1_miss_rate * 100.0
-            );
         }
         t.print();
         println!();
@@ -93,4 +101,5 @@ fn main() {
         Ok(p) => println!("wrote {}", p.display()),
         Err(e) => eprintln!("csv write failed: {e}"),
     }
+    swept.finish("table3");
 }

@@ -7,14 +7,13 @@
 //! solves the *same* problem instance), and measure every algorithm. The
 //! result is a flat list of cells, one per (dataset, ordering, algorithm).
 
-use crate::robust::{sweep, Job, Layout, Measure, RobustCell, Sweep, SweepReport};
+use crate::robust::{Job, Layout, Measure, Sweep};
 use crate::timing::median_secs;
 use crate::HarnessArgs;
 use gorder_cachesim::trace::replay_with_stats;
 use gorder_cachesim::{CacheHierarchy, HierarchyConfig, StallModel, Tracer};
 use gorder_engine::{ExecPlan, KernelCtx, KernelStats};
 use gorder_graph::datasets::Dataset;
-use gorder_obs::OrderEvent;
 use gorder_orders::OrderingAlgorithm;
 use std::sync::Arc;
 
@@ -72,15 +71,7 @@ impl GridConfig {
         let mut cfg = GridConfig::new(args.scale, args.reps, args.seed, args.quick);
         cfg.extended = args.has_flag("--extended");
         cfg.threads = args.threads;
-        if let Some(names) = &args.datasets {
-            cfg.datasets = names
-                .iter()
-                .map(|n| {
-                    gorder_graph::datasets::by_name(n)
-                        .ok_or_else(|| format!("--datasets: unknown dataset {n:?}"))
-                })
-                .collect::<Result<_, _>>()?;
-        }
+        cfg.datasets = args.resolve_datasets(None)?;
         cfg.orderings = args.orderings.clone();
         cfg.algos = args.algos.clone();
         Ok(cfg)
@@ -223,30 +214,6 @@ impl CellResult {
     }
 }
 
-/// Runs fig5's grid: [`sweep`] with `measure`, every cell collected into
-/// the report in grid order and streamed to `on_cell` the moment its fate
-/// is decided, so an interrupted sweep leaves a reconstructable trace.
-/// Cells that produced nothing carry zeroed numbers.
-pub fn run_grid(
-    grid: &Sweep<'_, CellResult>,
-    measure: &mut Measure<'_, CellResult>,
-    on_order: &mut dyn FnMut(&OrderEvent),
-    on_cell: &mut dyn FnMut(&RobustCell),
-) -> SweepReport {
-    let mut report = SweepReport::default();
-    sweep(grid, measure, on_order, &mut |c| {
-        let cell = RobustCell {
-            result: c
-                .value
-                .unwrap_or_else(|| CellResult::blank(c.dataset, c.ordering, c.algo)),
-            status: c.status,
-        };
-        on_cell(&cell);
-        report.cells.push(cell);
-    });
-    report
-}
-
 /// Resolves an `--orderings` filter before any work runs: each name,
 /// case-insensitively, against the extended registry. Without a filter
 /// the pool is the paper's ten, or all fourteen when `extended`. The
@@ -333,9 +300,9 @@ mod tests {
     /// be usable.
     fn grid(cfg: &GridConfig, mut measure: Box<Measure<'static, CellResult>>) -> Vec<CellResult> {
         let sweep = cfg.sweep().expect("test filters resolve");
-        let report = run_grid(&sweep, &mut *measure, &mut |_| {}, &mut |_| {});
-        assert!(report.skipped().is_empty(), "{:?}", report.skipped());
-        report.usable()
+        let swept = crate::robust::sweep(&sweep, &mut *measure, &mut |_| {}, &mut |_| {});
+        assert!(swept.cells.iter().all(|c| c.status.is_usable()));
+        swept.usable()
     }
 
     fn wall(cfg: &GridConfig) -> Vec<CellResult> {

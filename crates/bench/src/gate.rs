@@ -208,10 +208,8 @@ pub fn run_gate(cfg: &GateConfig) -> Result<GateReport, String> {
         GateMode::Sim => sim_measure(cfg.seed),
         GateMode::Wall => wall_measure(cfg),
     };
-    let mut cells = Vec::new();
     let mut orders = Vec::new();
-    let mut failure = None;
-    sweep(
+    let swept = sweep(
         &grid,
         &mut *measure,
         &mut |e| {
@@ -223,23 +221,17 @@ pub fn run_gate(cfg: &GateConfig) -> Result<GateReport, String> {
                 ..e.clone()
             })
         },
-        &mut |c| match c.value {
-            Some(cell) => cells.push(cell),
-            None => {
-                failure.get_or_insert_with(|| {
-                    format!("{}/{}/{}: {:?}", c.dataset, c.ordering, c.algo, c.status)
-                });
-            }
-        },
+        &mut |_| {},
     );
-    match failure {
-        Some(e) => Err(e),
-        None => Ok(GateReport {
-            manifest: cfg.manifest(),
-            cells,
-            orders,
-        }),
-    }
+    let cells = swept.cells.into_iter().map(|c| {
+        c.value
+            .ok_or_else(|| format!("{}/{}/{}: {:?}", c.dataset, c.ordering, c.algo, c.status))
+    });
+    Ok(GateReport {
+        manifest: cfg.manifest(),
+        cells: cells.collect::<Result<_, _>>()?,
+        orders,
+    })
 }
 
 /// A gate record for `algo` on layout `l` with every measurement zeroed.

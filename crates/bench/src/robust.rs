@@ -2,12 +2,13 @@
 //! under.
 //!
 //! [`sweep`] walks datasets × orderings × kernels for every grid in the
-//! harness: fig5 (modelled or wall-clock), fig6's fallback and the
-//! regression gate (sim or wall). It owns what does not vary between
-//! them — the lazy dataset build, ordering resolution (permutation cache,
-//! resume lookup, `order` record), the relabel and the source mapping —
-//! and the caller supplies the ordering pool and the per-cell
-//! [`Measure`].
+//! harness: fig5 (modelled or wall-clock), fig6's fallback, the
+//! regression gate (sim or wall), table2, table3, fig1, ablation and
+//! compression. It owns what does not vary between them — the lazy
+//! dataset build, ordering resolution (permutation cache, resume lookup,
+//! `order` record, order time), the relabel and the source mapping — and
+//! the caller supplies the ordering pool and the per-cell [`Measure`].
+//! Every grid binary ends with the same exit rule, [`Swept::finish`].
 //!
 //! **No single cell can take down the sweep.** Every ordering
 //! computation and every cell runs through [`run_guarded`]: under
@@ -18,15 +19,16 @@
 //! out. The sweep then continues, and a skip report lists everything
 //! that did not complete.
 
-use crate::experiment::CellResult;
+use crate::timing::time_once;
 use gorder_core::budget::{Budget, DegradeReason, ExecOutcome};
 use gorder_engine::parallel::panic_message;
 use gorder_graph::datasets::Dataset;
 use gorder_graph::{Graph, Permutation};
 use gorder_obs::OrderEvent;
 use gorder_orders::{
-    graph_digest, run_ordering, CacheKey, ExecPlan, OrderCache, OrderingAlgorithm, OrderingRun,
+    graph_digest, resolve_ordering, run_ordering, CacheKey, ExecPlan, OrderCache, OrderingAlgorithm,
 };
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -60,86 +62,6 @@ impl CellStatus {
     /// Whether the cell produced usable numbers (completed or degraded).
     pub fn is_usable(&self) -> bool {
         matches!(self, CellStatus::Completed | CellStatus::Degraded(_))
-    }
-}
-
-/// One cell of fig5's grid: the [`CellResult`] numbers plus how
-/// the cell ended. Timed-out and failed cells carry zeroed numbers.
-#[derive(Debug, Clone)]
-pub struct RobustCell {
-    /// The timing/checksum payload (zeroed unless the status is usable).
-    pub result: CellResult,
-    /// How the cell ended.
-    pub status: CellStatus,
-}
-
-/// Everything a guarded sweep produced.
-#[derive(Debug, Clone, Default)]
-pub struct SweepReport {
-    /// All cells, in grid order — including the unusable ones.
-    pub cells: Vec<RobustCell>,
-}
-
-impl SweepReport {
-    /// The usable cells (completed + degraded), as plain results.
-    pub fn usable(&self) -> Vec<CellResult> {
-        self.cells
-            .iter()
-            .filter(|c| c.status.is_usable())
-            .map(|c| c.result.clone())
-            .collect()
-    }
-
-    /// The cells that produced no numbers.
-    pub fn skipped(&self) -> Vec<&RobustCell> {
-        self.cells
-            .iter()
-            .filter(|c| !c.status.is_usable())
-            .collect()
-    }
-
-    /// Prints one stderr line per non-completed cell (degradations and
-    /// skips), then a one-line summary. Prints nothing when every cell
-    /// completed.
-    pub fn print_skip_report(&self) {
-        let mut degraded = 0usize;
-        let mut skipped = 0usize;
-        for cell in &self.cells {
-            let r = &cell.result;
-            match &cell.status {
-                CellStatus::Completed => {}
-                CellStatus::Degraded(reason) => {
-                    degraded += 1;
-                    eprintln!(
-                        "[sweep] degraded {}/{}/{}: {}",
-                        r.dataset, r.ordering, r.algo, reason
-                    );
-                }
-                CellStatus::TimedOut => {
-                    skipped += 1;
-                    eprintln!(
-                        "[sweep] skipped {}/{}/{}: timed out",
-                        r.dataset, r.ordering, r.algo
-                    );
-                }
-                CellStatus::Failed(msg) => {
-                    skipped += 1;
-                    eprintln!(
-                        "[sweep] skipped {}/{}/{}: failed: {}",
-                        r.dataset, r.ordering, r.algo, msg
-                    );
-                }
-            }
-        }
-        if degraded + skipped > 0 {
-            eprintln!(
-                "[sweep] {} of {} cells completed ({} degraded, {} skipped)",
-                self.cells.len() - skipped,
-                self.cells.len(),
-                degraded,
-                skipped
-            );
-        }
     }
 }
 
@@ -250,40 +172,6 @@ where
     }
 }
 
-/// Computes `o` through the unified runner ([`run_ordering`]) under
-/// [`run_guarded`]: per-ordering stats are exported to the registry
-/// exactly once, the watchdog budget is threaded through, and a panic or
-/// hang is contained.
-pub fn guarded_ordering_run(
-    o: &Arc<dyn OrderingAlgorithm>,
-    g: &Arc<Graph>,
-    plan: ExecPlan,
-    timeout: Option<Duration>,
-) -> ExecOutcome<OrderingRun> {
-    let o = Arc::clone(o);
-    let g = Arc::clone(g);
-    run_guarded(timeout, move |budget| {
-        run_ordering(o.as_ref(), &g, plan, budget)
-    })
-}
-
-/// Resolves ordering `o` of `g` (keyed `key`) through
-/// [`gorder_orders::resolve_ordering`], computing a cache miss serially
-/// with [`guarded_ordering_run`]. The `order` record comes back with the
-/// outcome, whether it completed, degraded, timed out or failed.
-pub fn resolve_ordering(
-    o: &Arc<dyn OrderingAlgorithm>,
-    g: &Arc<Graph>,
-    key: &CacheKey,
-    dataset: &str,
-    timeout: Option<Duration>,
-    cache: Option<&OrderCache>,
-) -> (ExecOutcome<Permutation>, OrderEvent) {
-    gorder_orders::resolve_ordering(key, g.n(), cache, Some(dataset), || {
-        guarded_ordering_run(o, g, ExecPlan::Serial, timeout)
-    })
-}
-
 /// A resume lookup: maps `(dataset, ordering, algo)` to the cell a prior
 /// run's trace recovered, or `None` when the cell must re-run.
 pub type RecoveredLookup<'a, T> = &'a dyn Fn(&str, &str, &str) -> Option<T>;
@@ -306,6 +194,11 @@ pub struct Layout<'a> {
     pub ordering: &'static str,
     /// The dataset's graph as built (the `Original` layout).
     pub base: &'a Arc<Graph>,
+    /// The ordering's permutation of `base`.
+    pub perm: &'a Permutation,
+    /// Wall seconds of the ordering's guarded resolution (computed or
+    /// loaded from the cache) plus the dataset's one graph digest.
+    pub order_seconds: f64,
     /// The logical source on `base`: its highest out-degree node.
     pub base_source: u32,
     /// `base` relabelled by the ordering.
@@ -332,7 +225,7 @@ pub struct Sweep<'a, T> {
     /// them inline under `catch_unwind` with an unlimited budget.
     pub timeout: Option<Duration>,
     /// Permutation cache to consult and populate.
-    pub cache: Option<&'a OrderCache>,
+    pub cache: Option<OrderCache>,
     /// Cells a prior run's trace recovered.
     pub recovered: Option<RecoveredLookup<'a, T>>,
 }
@@ -352,10 +245,86 @@ pub struct SweepCell<T> {
     pub value: Option<T>,
 }
 
+/// Everything one sweep decided.
+pub struct Swept<T> {
+    /// Every cell, in grid order — including the unusable ones.
+    pub cells: Vec<SweepCell<T>>,
+    /// `(n, m)` of every dataset the sweep built.
+    sizes: BTreeMap<&'static str, (u32, u64)>,
+}
+
+impl<T> Swept<T> {
+    /// The values of the usable cells (completed + degraded), in order.
+    pub fn usable(&self) -> Vec<T>
+    where
+        T: Clone,
+    {
+        self.cells.iter().filter_map(|c| c.value.clone()).collect()
+    }
+
+    /// `(n, m)` of dataset `d` at `scale`. A dataset the sweep never
+    /// built (every cell recovered) is built for its size alone.
+    pub fn size(&self, d: &Dataset, scale: f64) -> (u32, u64) {
+        self.sizes.get(d.name).copied().unwrap_or_else(|| {
+            let g = d.build(scale);
+            (g.n(), g.m())
+        })
+    }
+
+    /// Cells whose status passes `f`.
+    fn count(&self, f: fn(&CellStatus) -> bool) -> usize {
+        self.cells.iter().filter(|c| f(&c.status)).count()
+    }
+
+    /// Cells that failed: a panic, or a permutation of the wrong length.
+    pub fn failed(&self) -> usize {
+        self.count(|s| matches!(s, CellStatus::Failed(_)))
+    }
+
+    /// Prints one stderr line per cell that did not complete, then a
+    /// one-line summary. Prints nothing when every cell completed.
+    pub fn print_skip_report(&self) {
+        for c in &self.cells {
+            let (verb, why) = match &c.status {
+                CellStatus::Completed => continue,
+                CellStatus::Degraded(reason) => ("degraded", reason.to_string()),
+                CellStatus::TimedOut => ("skipped", "timed out".to_string()),
+                CellStatus::Failed(msg) => ("skipped", format!("failed: {msg}")),
+            };
+            eprintln!(
+                "[sweep] {verb} {}/{}/{}: {why}",
+                c.dataset, c.ordering, c.algo
+            );
+        }
+        let skipped = self.count(|s| !s.is_usable());
+        let degraded = self.count(|s| matches!(s, CellStatus::Degraded(_)));
+        if degraded + skipped > 0 {
+            eprintln!(
+                "[sweep] {} of {} cells completed ({degraded} degraded, {skipped} skipped)",
+                self.cells.len() - skipped,
+                self.cells.len(),
+            );
+        }
+    }
+
+    /// The grid exit rule, applied once every output is written: prints
+    /// the skip report, then exits 1 when any cell failed. A failure is a
+    /// fault in the program; a timeout or a degradation is a budget
+    /// decision and exits 0.
+    pub fn finish(&self, tool: &str) {
+        self.print_skip_report();
+        let failed = self.failed();
+        if failed > 0 {
+            eprintln!("[{tool}] {failed} cell(s) failed");
+            std::process::exit(1);
+        }
+    }
+}
+
 /// The sweep driver: every kernel cell of every ordering of every
 /// dataset in `grid`, decided in that order and handed to `on_cell` the
 /// moment it is decided; `on_order` receives one `order` record per
-/// resolved ordering.
+/// resolved ordering. Returns every cell, in that order.
 ///
 /// A (dataset, ordering) pair whose every cell `grid.recovered` knows is
 /// emitted as completed without resolving the ordering, and a dataset
@@ -368,11 +337,16 @@ pub fn sweep<T: Send + 'static>(
     grid: &Sweep<'_, T>,
     measure: &mut Measure<'_, T>,
     on_order: &mut dyn FnMut(&OrderEvent),
-    on_cell: &mut dyn FnMut(SweepCell<T>),
-) {
+    on_cell: &mut dyn FnMut(&SweepCell<T>),
+) -> Swept<T> {
+    let (mut cells, mut sizes) = (Vec::new(), BTreeMap::new());
+    let mut decide = |c: SweepCell<T>| {
+        on_cell(&c);
+        cells.push(c);
+    };
     for d in &grid.datasets {
         // built lazily: a fully recovered dataset is never constructed
-        let mut built: Option<(Arc<Graph>, u32, u64)> = None;
+        let mut built: Option<(Arc<Graph>, u32, u64, f64)> = None;
         for o in &grid.orderings {
             let cell = |algo, status, value| SweepCell {
                 dataset: d.name,
@@ -389,7 +363,7 @@ pub fn sweep<T: Send + 'static>(
             });
             if let Some(values) = recovered {
                 for (&a, v) in grid.kernels.iter().zip(values) {
-                    on_cell(cell(a, CellStatus::Completed, Some(v)));
+                    decide(cell(a, CellStatus::Completed, Some(v)));
                 }
                 eprintln!(
                     "[grid]   {}/{} recovered from trace ({} cells)",
@@ -399,15 +373,25 @@ pub fn sweep<T: Send + 'static>(
                 );
                 continue;
             }
-            let (g, base_source, digest) = built.get_or_insert_with(|| {
+            let (g, base_source, digest, digest_secs) = built.get_or_insert_with(|| {
                 let g = Arc::new(d.build(grid.scale));
                 eprintln!("[grid] {}: n = {}, m = {}", d.name, g.n(), g.m());
+                sizes.insert(d.name, (g.n(), g.m()));
                 let source = g.max_degree_node().unwrap_or(0);
-                let digest = graph_digest(&g);
-                (g, source, digest)
+                let (digest_secs, digest) = time_once(|| graph_digest(&g));
+                (g, source, digest, digest_secs)
             });
             let key = CacheKey::with_digest(*digest, o.as_ref(), grid.seed);
-            let (outcome, event) = resolve_ordering(o, g, &key, d.name, grid.timeout, grid.cache);
+            let (resolve_secs, (outcome, event)) = time_once(|| {
+                resolve_ordering(&key, g.n(), grid.cache.as_ref(), Some(d.name), || {
+                    // the unified runner exports the ordering's stats once
+                    // and threads the watchdog budget through
+                    let (o, g) = (Arc::clone(o), Arc::clone(g));
+                    run_guarded(grid.timeout, move |budget| {
+                        run_ordering(o.as_ref(), &g, ExecPlan::Serial, budget)
+                    })
+                })
+            });
             on_order(&event);
             let resolved = match outcome {
                 ExecOutcome::Completed(p) => Ok((p, CellStatus::Completed)),
@@ -430,7 +414,7 @@ pub fn sweep<T: Send + 'static>(
                 Ok(resolved) => resolved,
                 Err(status) => {
                     for &a in &grid.kernels {
-                        on_cell(cell(a, status.clone(), None));
+                        decide(cell(a, status.clone(), None));
                     }
                     eprintln!("[grid]   {} {}", o.name(), status.label());
                     continue;
@@ -441,6 +425,8 @@ pub fn sweep<T: Send + 'static>(
                 dataset: d.name,
                 ordering: o.name(),
                 base: g,
+                perm: &perm,
+                order_seconds: *digest_secs + resolve_secs,
                 base_source: *base_source,
                 graph: &relabelled,
                 source: perm.apply(*base_source),
@@ -460,17 +446,18 @@ pub fn sweep<T: Send + 'static>(
                     ExecOutcome::Failed(msg) => CellStatus::Failed(msg.clone()),
                     _ => ordering_status.clone(),
                 };
-                on_cell(cell(a, status, outcome.value()));
+                decide(cell(a, status, outcome.value()));
             }
             eprintln!("[grid]   {} done ({})", o.name(), ordering_status.label());
         }
     }
+    Swept { cells, sizes }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{run_grid, GridConfig};
+    use crate::experiment::{CellResult, GridConfig};
     use gorder_engine::KernelStats;
     use gorder_graph::datasets::epinion_like;
 
@@ -517,8 +504,18 @@ mod tests {
     fn run(
         grid: Sweep<'_, CellResult>,
         mut measure: Box<Measure<'static, CellResult>>,
-    ) -> SweepReport {
-        run_grid(&grid, &mut *measure, &mut |_| {}, &mut |_| {})
+    ) -> Swept<CellResult> {
+        sweep(&grid, &mut *measure, &mut |_| {}, &mut |_| {})
+    }
+
+    /// The measurement of a usable cell.
+    fn val(c: &SweepCell<CellResult>) -> &CellResult {
+        c.value.as_ref().expect("a usable cell carries its value")
+    }
+
+    /// How many of `swept`'s cells produced nothing.
+    fn skipped(swept: &Swept<CellResult>) -> usize {
+        swept.cells.iter().filter(|c| c.value.is_none()).count()
     }
 
     fn sweep_of<'a>(cfg: &GridConfig) -> Sweep<'a, CellResult> {
@@ -614,7 +611,7 @@ mod tests {
             ..sweep_of(&cfg)
         };
         let mut events: Vec<OrderEvent> = Vec::new();
-        let report = run_grid(
+        let report = sweep(
             &grid,
             &mut *cfg.wall_measure(),
             &mut |e| events.push(e.clone()),
@@ -622,15 +619,15 @@ mod tests {
         );
         // 4 orderings × 2 algos, every cell present
         assert_eq!(report.cells.len(), 8);
-        let by = |ordering: &str| -> Vec<&RobustCell> {
+        let by = |ordering: &str| -> Vec<&SweepCell<CellResult>> {
             report
                 .cells
                 .iter()
-                .filter(|c| c.result.ordering == ordering)
+                .filter(|c| c.ordering == ordering)
                 .collect()
         };
         for c in by("Original").iter().chain(by("ChDFS").iter()) {
-            assert_eq!(c.status, CellStatus::Completed, "{:?}", c.result);
+            assert_eq!(c.status, CellStatus::Completed, "{c:?}");
         }
         for c in by("Panicker") {
             match &c.status {
@@ -641,10 +638,10 @@ mod tests {
             }
         }
         for c in by("Hang") {
-            assert_eq!(c.status, CellStatus::TimedOut, "{:?}", c.result);
+            assert_eq!(c.status, CellStatus::TimedOut, "{c:?}");
         }
         // the skip report names exactly the unusable cells
-        assert_eq!(report.skipped().len(), 4);
+        assert_eq!(skipped(&report), 4);
         assert_eq!(report.usable().len(), 4);
         report.print_skip_report();
         // every resolution is recorded, including the ones that produced
@@ -657,6 +654,24 @@ mod tests {
     }
 
     #[test]
+    fn only_failed_cells_count_against_the_exit_rule() {
+        let cfg = tiny_cfg();
+        let grid = Sweep {
+            orderings: vec![
+                Arc::new(gorder_orders::Original),
+                Arc::new(Panicker),
+                Arc::new(Hang),
+            ],
+            timeout: Some(Duration::from_millis(50)),
+            ..sweep_of(&cfg)
+        };
+        let swept = sweep(&grid, &mut *cfg.wall_measure(), &mut |_| {}, &mut |_| {});
+        // Panicker's two cells failed; Hang's two timed out, which is a
+        // budget decision, not a fault
+        assert_eq!(swept.failed(), 2);
+    }
+
+    #[test]
     fn observer_sees_every_cell_in_report_order() {
         let cfg = tiny_cfg();
         let grid = Sweep {
@@ -665,19 +680,15 @@ mod tests {
             ..sweep_of(&cfg)
         };
         let mut seen: Vec<(String, String, &'static str)> = Vec::new();
-        let report = run_grid(&grid, &mut *cfg.wall_measure(), &mut |_| {}, &mut |c| {
-            seen.push((
-                c.result.ordering.clone(),
-                c.result.algo.clone(),
-                c.status.label(),
-            ));
+        let report = sweep(&grid, &mut *cfg.wall_measure(), &mut |_| {}, &mut |c| {
+            seen.push((c.ordering.to_string(), c.algo.to_string(), c.status.label()));
         });
         // failed cells stream through the observer just like completed ones
         assert_eq!(seen.len(), report.cells.len());
-        assert_eq!(report.skipped().len(), 2);
+        assert_eq!(skipped(&report), 2);
         for (s, c) in seen.iter().zip(&report.cells) {
-            assert_eq!(s.0, c.result.ordering);
-            assert_eq!(s.1, c.result.algo);
+            assert_eq!(s.0, c.ordering);
+            assert_eq!(s.1, c.algo);
             assert_eq!(s.2, c.status.label());
         }
     }
@@ -697,9 +708,9 @@ mod tests {
         assert_eq!(inline.cells.len(), 4);
         assert_eq!(inline.cells.len(), watched.cells.len());
         for (i, w) in inline.cells.iter().zip(&watched.cells) {
-            assert_eq!(i.status, CellStatus::Completed, "{:?}", i.result);
-            assert_eq!(w.status, CellStatus::Completed, "{:?}", w.result);
-            assert!(i.result.seconds > 0.0, "{:?}", i.result);
+            assert_eq!(i.status, CellStatus::Completed, "{i:?}");
+            assert_eq!(w.status, CellStatus::Completed, "{w:?}");
+            assert!(val(i).seconds > 0.0, "{i:?}");
             // modelled seconds, checksums and counters are bit-identical
             // (only the kernels' own wall timings may differ)
             let numbers = |c: &CellResult| {
@@ -719,7 +730,7 @@ mod tests {
                     s.threads_used,
                 )
             };
-            assert_eq!(numbers(&i.result), numbers(&w.result));
+            assert_eq!(numbers(val(i)), numbers(val(w)));
         }
     }
 
@@ -741,11 +752,11 @@ mod tests {
                 .iter()
                 .find(|c| {
                     ordering == "Original"
-                        && c.result.dataset == dataset
-                        && c.result.ordering == ordering
-                        && c.result.algo == algo
+                        && c.dataset == dataset
+                        && c.ordering == ordering
+                        && c.algo == algo
                 })
-                .map(|c| c.result.clone())
+                .map(|c| val(c).clone())
         };
         let grid = Sweep {
             recovered: Some(&rec),
@@ -753,7 +764,7 @@ mod tests {
         };
         let mut observed = 0usize;
         let mut resolved: Vec<String> = Vec::new();
-        let resumed = run_grid(
+        let resumed = sweep(
             &grid,
             &mut *cfg.sim_measure(),
             &mut |e| resolved.push(e.name.clone()),
@@ -763,10 +774,10 @@ mod tests {
         assert_eq!(observed, fresh.cells.len(), "recovered cells still stream");
         assert_eq!(resolved, ["ChDFS"], "a recovered pair resolves no ordering");
         for (f, r) in fresh.cells.iter().zip(&resumed.cells) {
-            assert_eq!(f.result.ordering, r.result.ordering);
-            assert_eq!(f.result.algo, r.result.algo);
-            assert_eq!(f.result.checksum, r.result.checksum);
-            assert_eq!(f.result.seconds, r.result.seconds, "{:?}", r.result);
+            assert_eq!(f.ordering, r.ordering);
+            assert_eq!(f.algo, r.algo);
+            assert_eq!(val(f).checksum, val(r).checksum);
+            assert_eq!(val(f).seconds, val(r).seconds, "{r:?}");
             assert_eq!(r.status, CellStatus::Completed);
         }
     }
@@ -795,7 +806,7 @@ mod tests {
         let resumed = run(grid, cfg.sim_measure());
         assert_eq!(resumed.cells.len(), 2);
         for c in &resumed.cells {
-            assert_ne!(c.result.seconds, 999.0, "{:?}", c.result);
+            assert_ne!(val(c).seconds, 999.0, "{c:?}");
             assert_eq!(c.status, CellStatus::Completed);
         }
     }

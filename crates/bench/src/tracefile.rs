@@ -8,7 +8,7 @@
 //! [`SweepTrace::cell`] sees it, so a sweep killed partway leaves a
 //! manifest plus one `cell` line per completed cell on disk.
 
-use crate::robust::RobustCell;
+use crate::robust::SweepCell;
 use crate::{HarnessArgs, ResumeState};
 use gorder_obs::{CellEvent, OrderEvent, RowEvent, RunManifest, TraceEvent, TraceSink};
 use std::fs::File;
@@ -28,12 +28,13 @@ impl SweepTrace {
     /// line, or returns a no-op recorder when the flag is absent. An
     /// unopenable path degrades to a warning + no-op.
     pub fn open(tool: &str, args: &HarnessArgs) -> SweepTrace {
+        let mut trace = SweepTrace {
+            sink: None,
+            path: String::new(),
+            tool: tool.to_string(),
+        };
         let Some(path) = &args.trace_out else {
-            return SweepTrace {
-                sink: None,
-                path: String::new(),
-                tool: tool.to_string(),
-            };
+            return trace;
         };
         let manifest = manifest_for(tool, args);
         let opened = TraceSink::create(Path::new(path)).and_then(|mut s| {
@@ -41,20 +42,10 @@ impl SweepTrace {
             Ok(s)
         });
         match opened {
-            Ok(sink) => SweepTrace {
-                sink: Some(sink),
-                path: path.clone(),
-                tool: tool.to_string(),
-            },
-            Err(e) => {
-                eprintln!("[{tool}] trace {path}: {e} — tracing disabled");
-                SweepTrace {
-                    sink: None,
-                    path: String::new(),
-                    tool: tool.to_string(),
-                }
-            }
+            Ok(sink) => (trace.sink, trace.path) = (Some(sink), path.clone()),
+            Err(e) => eprintln!("[{tool}] trace {path}: {e} — tracing disabled"),
         }
+        trace
     }
 
     /// Whether lines are actually being written.
@@ -62,9 +53,20 @@ impl SweepTrace {
         self.sink.is_some()
     }
 
-    /// Records one finished sweep cell (flushed immediately).
-    pub fn cell(&mut self, c: &RobustCell) {
-        self.event(&TraceEvent::Cell(cell_event(c)));
+    /// Records one decided cell as its `cell` line (flushed
+    /// immediately). A usable cell's value gives the line's seconds and
+    /// checksum through `numbers`; any other cell's seconds go `null`
+    /// (NaN), and the status label says why.
+    pub fn cell<T>(&mut self, c: &SweepCell<T>, numbers: impl FnOnce(&T) -> (f64, u64)) {
+        let (seconds, checksum) = c.value.as_ref().map_or((f64::NAN, 0), numbers);
+        self.event(&TraceEvent::Cell(CellEvent {
+            dataset: c.dataset.to_string(),
+            ordering: c.ordering.to_string(),
+            algo: c.algo.to_string(),
+            status: c.status.label().to_string(),
+            seconds,
+            checksum,
+        }));
     }
 
     /// Records one finished CSV row verbatim (flushed immediately). Row
@@ -115,23 +117,6 @@ impl SweepTrace {
                 self.path
             );
         }
-    }
-}
-
-/// A [`RobustCell`] as its trace line: `seconds` goes `null` (NaN) for
-/// cells that produced no usable number, and the status label says why.
-pub fn cell_event(c: &RobustCell) -> CellEvent {
-    CellEvent {
-        dataset: c.result.dataset.clone(),
-        ordering: c.result.ordering.clone(),
-        algo: c.result.algo.clone(),
-        status: c.status.label().to_string(),
-        seconds: if c.status.is_usable() {
-            c.result.seconds
-        } else {
-            f64::NAN
-        },
-        checksum: c.result.checksum,
     }
 }
 
@@ -197,7 +182,6 @@ pub fn load_resume(tool: &str, args: &HarnessArgs) -> Option<ResumeState> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::CellResult;
     use crate::robust::CellStatus;
     use gorder_obs::validate_jsonl;
 
@@ -205,16 +189,12 @@ mod tests {
         std::env::temp_dir().join(format!("gorder-bench-{}-{name}", std::process::id()))
     }
 
-    fn cell(status: CellStatus) -> RobustCell {
-        RobustCell {
-            result: CellResult {
-                dataset: "d".into(),
-                algo: "BFS".into(),
-                ordering: "Gorder".into(),
-                seconds: 0.5,
-                checksum: 7,
-                stats: Default::default(),
-            },
+    fn cell(status: CellStatus) -> SweepCell<(f64, u64)> {
+        SweepCell {
+            dataset: "d",
+            ordering: "Gorder",
+            algo: "BFS",
+            value: status.is_usable().then_some((0.5, 7)),
             status,
         }
     }
@@ -223,7 +203,7 @@ mod tests {
     fn no_flag_means_no_op() {
         let mut t = SweepTrace::open("test", &HarnessArgs::default());
         assert!(!t.is_active());
-        t.cell(&cell(CellStatus::Completed));
+        t.cell(&cell(CellStatus::Completed), |&v| v);
         t.finish(); // nothing to write, nothing to crash on
     }
 
@@ -236,8 +216,8 @@ mod tests {
         };
         let mut t = SweepTrace::open("test", &args);
         assert!(t.is_active());
-        t.cell(&cell(CellStatus::Completed));
-        t.cell(&cell(CellStatus::TimedOut));
+        t.cell(&cell(CellStatus::Completed), |&v| v);
+        t.cell(&cell(CellStatus::TimedOut), |&v| v);
         // every line is already on disk before finish(): that is the
         // interrupted-sweep guarantee
         let partial = std::fs::read_to_string(&path).unwrap();
@@ -303,7 +283,7 @@ mod tests {
         };
         let mut t = SweepTrace::open("test", &args);
         assert!(!t.is_active());
-        t.cell(&cell(CellStatus::Completed));
+        t.cell(&cell(CellStatus::Completed), |&v| v);
         t.finish();
     }
 }

@@ -2,13 +2,19 @@
 //! over the same configuration recomputes **zero** orderings — every
 //! resolution is a cache hit — and its usable cells match the cold run's
 //! exactly (simulated mode is deterministic, so equality is bitwise).
+//!
+//! The same holds for the `table2` and `ablation` binaries, whose rows
+//! carry wall times: a warm run writes only cache-hit `order` records,
+//! and a `--resume` over a complete trace resolves no ordering at all and
+//! rewrites the CSV byte for byte.
 
-use gorder_bench::{run_grid, GridConfig, Sweep, SweepReport};
+use gorder_bench::{sweep, CellResult, GridConfig, Sweep, Swept};
 use gorder_graph::datasets::epinion_like;
 use gorder_obs::OrderEvent;
 use gorder_orders::OrderCache;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 use std::time::Duration;
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -31,14 +37,14 @@ fn cfg() -> GridConfig {
     }
 }
 
-fn sweep(cache: &OrderCache) -> (SweepReport, Vec<OrderEvent>) {
+fn run(cache: &OrderCache) -> (Swept<CellResult>, Vec<OrderEvent>) {
     let mut events = Vec::new();
     let grid = Sweep {
         timeout: Some(Duration::from_secs(120)),
-        cache: Some(cache),
+        cache: Some(cache.clone()),
         ..cfg().sweep().unwrap()
     };
-    let report = run_grid(
+    let report = sweep(
         &grid,
         &mut *cfg().sim_measure(), // simulated mode: deterministic seconds
         &mut |e: &OrderEvent| events.push(e.clone()),
@@ -52,7 +58,7 @@ fn second_sweep_hits_cache_for_every_ordering_and_matches() {
     let dir = tmpdir("grid");
     let cache = OrderCache::new(&dir).unwrap();
 
-    let (cold, cold_events) = sweep(&cache);
+    let (cold, cold_events) = run(&cache);
     assert_eq!(cold_events.len(), 3, "one order event per ordering");
     assert!(
         cold_events.iter().all(|e| !e.cache_hit),
@@ -63,7 +69,7 @@ fn second_sweep_hits_cache_for_every_ordering_and_matches() {
         "tiny grid completes"
     );
 
-    let (warm, warm_events) = sweep(&cache);
+    let (warm, warm_events) = run(&cache);
     assert_eq!(warm_events.len(), 3);
     assert!(
         warm_events.iter().all(|e| e.cache_hit),
@@ -90,4 +96,105 @@ fn second_sweep_hits_cache_for_every_ordering_and_matches() {
         );
     }
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// Runs `bin` at `--quick --scale 0.02` plus `grid` and `extra` in `dir`;
+/// it must exit 0.
+fn run_bin(bin: &str, dir: &Path, grid: &[&str], extra: &[&str]) {
+    let out = Command::new(bin)
+        .args(["--quick", "--scale", "0.02"])
+        .args(grid)
+        .args(extra)
+        .current_dir(dir)
+        .output()
+        .expect("spawn");
+    assert!(out.status.success(), "{out:?}");
+}
+
+/// The `order` lines of a trace.
+fn order_lines(trace: &Path) -> Vec<String> {
+    fs::read_to_string(trace)
+        .unwrap()
+        .lines()
+        .filter(|l| l.contains("\"kind\":\"order\""))
+        .map(str::to_string)
+        .collect()
+}
+
+/// Cold run, warm run over the same `--order-cache`, then a `--resume`
+/// over the warm run's complete trace.
+fn warm_then_resume(bin: &str, tag: &str, csv: &str, grid: &[&str], orderings: usize) {
+    let dir = tmpdir(tag);
+    fs::create_dir_all(&dir).unwrap();
+    let cached = ["--order-cache", "cache"];
+    run_bin(
+        bin,
+        &dir,
+        grid,
+        &[&cached[..], &["--trace-out", "cold.jsonl"]].concat(),
+    );
+    let cold = order_lines(&dir.join("cold.jsonl"));
+    assert_eq!(cold.len(), orderings, "{cold:?}");
+    assert!(
+        cold.iter().all(|l| l.contains("\"cache_hit\":false")),
+        "{cold:?}"
+    );
+
+    run_bin(
+        bin,
+        &dir,
+        grid,
+        &[&cached[..], &["--trace-out", "warm.jsonl"]].concat(),
+    );
+    let warm = order_lines(&dir.join("warm.jsonl"));
+    assert_eq!(warm.len(), orderings, "one order record per ordering");
+    assert!(
+        warm.iter().all(|l| l.contains("\"cache_hit\":true")),
+        "a warm run computes no ordering: {warm:?}"
+    );
+    let written = fs::read(dir.join("results").join(csv)).unwrap();
+
+    run_bin(
+        bin,
+        &dir,
+        grid,
+        &["--resume", "warm.jsonl", "--trace-out", "resumed.jsonl"],
+    );
+    let resumed = order_lines(&dir.join("resumed.jsonl"));
+    assert!(
+        resumed.is_empty(),
+        "a resumed run resolves nothing: {resumed:?}"
+    );
+    let rewritten = fs::read(dir.join("results").join(csv)).unwrap();
+    assert_eq!(written, rewritten, "the resumed CSV is byte-identical");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn table2_warm_run_hits_the_cache_and_resume_rewrites_the_csv() {
+    let grid = [
+        "--datasets",
+        "epinion",
+        "--orderings",
+        "Original,ChDFS,Gorder",
+    ];
+    warm_then_resume(
+        env!("CARGO_BIN_EXE_table2"),
+        "table2",
+        "table2.csv",
+        &grid,
+        3,
+    );
+}
+
+#[test]
+fn ablation_warm_run_hits_the_cache_and_resume_rewrites_the_csv() {
+    let grid = ["--datasets", "flickr", "--orderings", "Original,RCM,Gorder"];
+    warm_then_resume(
+        env!("CARGO_BIN_EXE_ablation"),
+        "ablation",
+        "ablation.csv",
+        &grid,
+        3,
+    );
 }

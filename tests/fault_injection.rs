@@ -4,11 +4,11 @@
 //! healthy cell, report the panicked cells as failed and the annealing
 //! cells as degraded (or abandoned), and return normally.
 
-use gorder_bench::{guarded_ordering_run, run_grid, CellStatus, GridConfig, Sweep};
+use gorder_bench::{run_guarded, sweep, CellStatus, GridConfig, Sweep};
 use gorder_core::budget::{Budget, ExecOutcome};
 use gorder_graph::datasets::epinion_like;
 use gorder_graph::{Graph, Permutation};
-use gorder_orders::{Annealing, EnergyModel, ExecPlan, OrderingAlgorithm};
+use gorder_orders::{run_ordering, Annealing, EnergyModel, ExecPlan, OrderingAlgorithm};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -55,7 +55,7 @@ fn sweep_with_injected_faults_completes_and_reports() {
         timeout: Some(Duration::from_millis(50)),
         ..cfg.sweep().unwrap()
     };
-    let report = run_grid(&grid, &mut *cfg.wall_measure(), &mut |_| {}, &mut |_| {});
+    let report = sweep(&grid, &mut *cfg.wall_measure(), &mut |_| {}, &mut |_| {});
 
     // Every cell of the 4 × 2 grid is present — the sweep never died.
     assert_eq!(report.cells.len(), 8);
@@ -64,7 +64,7 @@ fn sweep_with_injected_faults_completes_and_reports() {
         report
             .cells
             .iter()
-            .filter(|c| c.result.ordering == ordering)
+            .filter(|c| c.ordering == ordering)
             .map(|c| &c.status)
             .collect()
     };
@@ -120,8 +120,10 @@ fn one_millisecond_annealing_budget_degrades_not_dies() {
 #[test]
 fn guarded_panicking_ordering_is_isolated() {
     let g = Arc::new(epinion_like().build(0.02));
-    let o: Arc<dyn OrderingAlgorithm> = Arc::new(Panicker);
-    match guarded_ordering_run(&o, &g, ExecPlan::Serial, Some(Duration::from_secs(5))) {
+    let outcome = run_guarded(Some(Duration::from_secs(5)), move |budget| {
+        run_ordering(&Panicker, &g, ExecPlan::Serial, budget)
+    });
+    match outcome {
         ExecOutcome::Failed(msg) => assert!(msg.contains("injected ordering fault"), "{msg}"),
         other => panic!("expected Failed, got {}", other.status_label()),
     }
