@@ -7,7 +7,11 @@
 //!
 //! Shape to reproduce: CPU bars nearly equal between the two orders,
 //! stall bars visibly smaller under Gorder, total below 1.0.
+//!
+//! The grid is fixed (sdarc × {Original, Gorder} × every kernel), so
+//! `--datasets`, `--orderings` and `--algos` are refused with exit 2.
 
+use gorder_bench::args::die;
 use gorder_bench::fmt::{write_csv, Table};
 use gorder_bench::{resolve_orderings, sweep, HarnessArgs, Job, Layout, Sweep};
 use gorder_cachesim::trace::replay;
@@ -17,6 +21,12 @@ use std::sync::Arc;
 
 fn main() {
     let args = HarnessArgs::parse();
+    if args.datasets.is_some() || args.orderings.is_some() || args.algos.is_some() {
+        die(
+            "fig1 runs a fixed grid (sdarc × Original, Gorder × every kernel) \
+             and takes no --datasets, --orderings or --algos",
+        );
+    }
     // The synthetic datasets are ~100× smaller than the paper's, so the
     // scaled-down hierarchy keeps working-set-to-cache ratios comparable;
     // pass --xeon for the full Xeon E5 geometry.

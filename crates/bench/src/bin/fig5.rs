@@ -90,10 +90,12 @@ fn main() {
         trace.cell(c, |r| (r.seconds, r.checksum));
         if let Some(r) = &c.value {
             let key = format!("{}|{}|{}", r.dataset, r.algo, r.ordering);
-            // prefer the recovered verbatim row (stats of recovered
-            // cells are zeroed; the prior run's bytes are the truth)
+            // a recovered cell keeps the prior run's verbatim row (its
+            // stats are zeroed; those bytes are the truth); a cell the
+            // sweep re-ran writes its own numbers
             let row = resume
                 .as_ref()
+                .filter(|_| c.recovered)
                 .and_then(|s| s.row(csv_name, &key))
                 .map(<[String]>::to_vec)
                 .unwrap_or_else(|| fig5_row(r));

@@ -1,6 +1,6 @@
 //! fig5's grid behind Figures 5/6/S1: its configuration, its cell type
 //! and its two measurements, run through the one sweep driver
-//! ([`sweep`]).
+//! ([`sweep`](crate::sweep)).
 //!
 //! For every dataset: build the graph, compute each ordering, relabel,
 //! map the logical source node through the permutation (so every ordering

@@ -243,6 +243,9 @@ pub struct SweepCell<T> {
     pub status: CellStatus,
     /// The measurement; `None` unless the status is usable.
     pub value: Option<T>,
+    /// Whether `value` came from `grid.recovered` rather than a fresh
+    /// run. A cell of a partly recovered pair re-runs and is not.
+    pub recovered: bool,
 }
 
 /// Everything one sweep decided.
@@ -354,6 +357,7 @@ pub fn sweep<T: Send + 'static>(
                 algo,
                 status,
                 value,
+                recovered: false,
             };
             let recovered: Option<Vec<T>> = grid.recovered.and_then(|rec| {
                 grid.kernels
@@ -363,7 +367,11 @@ pub fn sweep<T: Send + 'static>(
             });
             if let Some(values) = recovered {
                 for (&a, v) in grid.kernels.iter().zip(values) {
-                    decide(cell(a, CellStatus::Completed, Some(v)));
+                    let recovered = cell(a, CellStatus::Completed, Some(v));
+                    decide(SweepCell {
+                        recovered: true,
+                        ..recovered
+                    });
                 }
                 eprintln!(
                     "[grid]   {}/{} recovered from trace ({} cells)",
@@ -481,7 +489,12 @@ mod tests {
             std::thread::sleep(Duration::from_secs(600));
             Permutation::identity(g.n())
         }
-        fn compute_budgeted(&self, g: &Graph, _budget: &Budget) -> ExecOutcome<Permutation> {
+        fn compute_budgeted(
+            &self,
+            g: &Graph,
+            _budget: &Budget,
+            _stats: &mut gorder_orders::OrderStats,
+        ) -> ExecOutcome<Permutation> {
             ExecOutcome::Completed(self.compute(g))
         }
     }
@@ -774,6 +787,7 @@ mod tests {
         assert_eq!(observed, fresh.cells.len(), "recovered cells still stream");
         assert_eq!(resolved, ["ChDFS"], "a recovered pair resolves no ordering");
         for (f, r) in fresh.cells.iter().zip(&resumed.cells) {
+            assert_eq!(r.recovered, r.ordering == "Original");
             assert_eq!(f.ordering, r.ordering);
             assert_eq!(f.algo, r.algo);
             assert_eq!(val(f).checksum, val(r).checksum);
@@ -807,6 +821,7 @@ mod tests {
         assert_eq!(resumed.cells.len(), 2);
         for c in &resumed.cells {
             assert_ne!(val(c).seconds, 999.0, "{c:?}");
+            assert!(!c.recovered, "a re-run cell is fresh");
             assert_eq!(c.status, CellStatus::Completed);
         }
     }

@@ -196,6 +196,7 @@ mod tests {
             algo: "BFS",
             value: status.is_usable().then_some((0.5, 7)),
             status,
+            recovered: false,
         }
     }
 

@@ -166,3 +166,80 @@ fn resume_refuses_a_differently_configured_trace() {
     assert!(stderr.contains("config_hash mismatch"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_rerun_cell_of_a_partly_recovered_pair_writes_its_own_row() {
+    let dir = scratch("partial");
+    let status = fig5()
+        .args(GRID)
+        .args(["--trace-out", "trace.jsonl"])
+        .current_dir(&dir)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .status()
+        .expect("spawn fig5");
+    assert!(status.success());
+    let reference = std::fs::read_to_string(dir.join("results/fig5.csv")).expect("CSV");
+    let seconds = |csv: &str, algo: &str| -> String {
+        let row = csv
+            .lines()
+            .find(|l| l.starts_with(&format!("epinion,{algo},ChDFS,")))
+            .expect("ChDFS row");
+        row.split(',').nth(3).unwrap().to_string()
+    };
+
+    // Keep ChDFS/NQ with a sentinel time in its row; drop ChDFS/BFS, so
+    // the resumed sweep must re-run the whole ChDFS pair.
+    let fresh = seconds(&reference, "NQ");
+    let trace = std::fs::read_to_string(dir.join("trace.jsonl")).unwrap();
+    let partial: String = trace
+        .lines()
+        .filter(|l| !l.contains("epinion|BFS|ChDFS"))
+        .filter(|l| {
+            !(l.contains("\"kind\":\"cell\"")
+                && l.contains("\"ordering\":\"ChDFS\"")
+                && l.contains("\"algo\":\"BFS\""))
+        })
+        .map(|l| {
+            if l.contains("epinion|NQ|ChDFS") {
+                let planted = l.replace(
+                    &format!("\"ChDFS\",\"{fresh}\""),
+                    "\"ChDFS\",\"999.000000\"",
+                );
+                assert_ne!(planted, l, "sentinel planted");
+                planted
+            } else {
+                l.to_string()
+            }
+        })
+        .map(|l| l + "\n")
+        .collect();
+    std::fs::write(dir.join("partial.jsonl"), partial).unwrap();
+
+    let status = fig5()
+        .args(GRID)
+        .args(["--resume", "partial.jsonl", "--trace-out", "trace2.jsonl"])
+        .current_dir(&dir)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .status()
+        .expect("spawn resumed fig5");
+    assert!(status.success(), "resumed run failed: {status}");
+    let resumed = std::fs::read_to_string(dir.join("results/fig5.csv")).expect("resumed CSV");
+    assert_eq!(seconds(&resumed, "NQ"), fresh, "the re-run cell's own time");
+    assert_eq!(resumed, reference, "sim mode reproduces every row");
+
+    // the row agrees with the re-run cell's own `cell` record
+    let trace2 = std::fs::read_to_string(dir.join("trace2.jsonl")).unwrap();
+    let cell = trace2
+        .lines()
+        .map(|l| gorder_obs::json::Fields::parse(l).unwrap())
+        .find(|f| {
+            f.str("kind").as_deref() == Ok("cell")
+                && f.str("ordering").as_deref() == Ok("ChDFS")
+                && f.str("algo").as_deref() == Ok("NQ")
+        })
+        .expect("ChDFS/NQ cell record");
+    assert_eq!(format!("{:.6}", cell.f64("seconds").unwrap()), fresh);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -2,7 +2,8 @@
 //! `--algos` match case-insensitively against every ordering and kernel
 //! the harness knows, extensions included, and an unknown name exits 2
 //! before any graph is built. fig5, table3 and compression all honour
-//! them; table3 runs on its flickr/sdarc pair only.
+//! them; table3 runs on its flickr/sdarc pair only. fig1's grid is
+//! fixed, so it refuses every filter rather than ignore it.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -154,4 +155,17 @@ fn compression_refuses_unknown_names() {
     refused(&out, rows, "unknown dataset \"nope\"");
     let (out, rows) = compression("c-gordr", &["--orderings", "Gordr"]);
     refused(&out, rows, "unknown ordering \"Gordr\"");
+}
+
+#[test]
+fn fig1_refuses_every_filter_it_would_ignore() {
+    let bin = env!("CARGO_BIN_EXE_fig1");
+    for (name, filter) in [
+        ("f1-datasets", ["--datasets", "epinion"]),
+        ("f1-orderings", ["--orderings", "RCM"]),
+        ("f1-algos", ["--algos", "BFS"]),
+    ] {
+        let (out, rows) = run(bin, name, &filter, "fig1.csv", [0, 1]);
+        refused(&out, rows, "fig1 runs a fixed grid (sdarc");
+    }
 }

@@ -165,16 +165,6 @@ pub struct GorderStats {
 }
 
 impl GorderStats {
-    /// Merges another run's (or chunk's) counters into this one — how
-    /// the partition-parallel driver aggregates per-worker stats.
-    pub fn merge(&mut self, other: &GorderStats) {
-        self.increments += other.increments;
-        self.decrements += other.decrements;
-        self.pops += other.pops;
-        self.hub_skips += other.hub_skips;
-        self.refreshes += other.refreshes;
-    }
-
     /// Total heap bucket moves this run performed (every coalesced
     /// update is exactly one unlink + push, whatever its net sign).
     pub fn heap_updates(&self) -> u64 {
@@ -520,26 +510,52 @@ impl Gorder {
 
     /// Computes the Gorder permutation (`old id → new id`).
     pub fn compute(&self, g: &Graph) -> Permutation {
-        self.compute_with_stats(g).0
+        self.compute_budgeted(g, &Budget::unlimited())
+            .0
+            .value()
+            .expect("an unlimited build always completes")
     }
 
-    /// Computes the permutation along with update counters.
-    pub fn compute_with_stats(&self, g: &Graph) -> (Permutation, GorderStats) {
+    /// The one Gorder build: runs the greedy under `budget` and returns
+    /// the outcome with the run's heap counters. On exhaustion every
+    /// unplaced node is appended in children-first DFS discovery order
+    /// (the ChDFS baseline restricted to the unplaced remainder), so the
+    /// result is always a valid permutation; a degraded one interpolates
+    /// between full Gorder and pure ChDFS — with a zero budget it *is*
+    /// exactly ChDFS. An unlimited budget is never polled.
+    pub fn compute_budgeted(
+        &self,
+        g: &Graph,
+        budget: &Budget,
+    ) -> (ExecOutcome<Permutation>, GorderStats) {
         let _span = gorder_obs::span("gorder.build");
-        let n = g.n();
-        if n == 0 {
-            return (Permutation::identity(0), GorderStats::default());
+        if g.n() == 0 {
+            return (
+                ExecOutcome::Completed(Permutation::identity(0)),
+                GorderStats::default(),
+            );
         }
-        let (placement, stats, stop) = self.greedy(g, None, replay_cap(g));
-        debug_assert!(stop.is_none(), "unbudgeted greedy cannot stop early");
-        let perm = Permutation::from_placement(&placement)
-            .expect("greedy placement covers every node exactly once");
-        (perm, stats)
+        let limit = (!budget.is_unlimited()).then_some(budget);
+        let (mut placement, stats, stop) = self.greedy(g, limit, replay_cap(g));
+        let outcome = match stop {
+            None => ExecOutcome::Completed(
+                Permutation::from_placement(&placement)
+                    .expect("greedy placement covers every node exactly once"),
+            ),
+            Some(reason) => {
+                chdfs_fill(g, &mut placement);
+                let perm = Permutation::from_placement(&placement)
+                    .expect("DFS fill covers every remaining node exactly once");
+                ExecOutcome::Degraded(perm, reason)
+            }
+        };
+        (outcome, stats)
     }
 
-    /// The windowed greedy build loop shared by the plain and budgeted
-    /// entry points. Returns the (possibly partial, if the budget ran
-    /// out) placement, the run counters, and the degrade reason if any.
+    /// The windowed greedy build loop behind [`Gorder::compute_budgeted`].
+    /// `budget` is `None` for an unlimited build, which then never polls
+    /// it. Returns the (possibly partial, if the budget ran out)
+    /// placement, the run counters, and the degrade reason if any.
     /// `replay_cap` bounds the exit-replay state (see [`replay_cap`]);
     /// the result does not depend on it.
     fn greedy(
@@ -597,52 +613,6 @@ impl Gorder {
             }
         }
         (placement, stats, stop)
-    }
-
-    /// Anytime variant of [`Gorder::compute`]: runs the greedy under a
-    /// [`Budget`], and on exhaustion appends every unplaced node in
-    /// children-first DFS discovery order (the ChDFS baseline restricted
-    /// to the unplaced remainder). The result is always a valid
-    /// permutation; a degraded one interpolates between full Gorder and
-    /// pure ChDFS — with a zero budget it *is* exactly ChDFS.
-    pub fn compute_budgeted(&self, g: &Graph, budget: &Budget) -> ExecOutcome<Permutation> {
-        self.compute_budgeted_with_stats(g, budget).0
-    }
-
-    /// Like [`Gorder::compute_budgeted`] but also returns the heap update
-    /// counters accumulated before the budget ran out.
-    pub fn compute_budgeted_with_stats(
-        &self,
-        g: &Graph,
-        budget: &Budget,
-    ) -> (ExecOutcome<Permutation>, GorderStats) {
-        if budget.is_unlimited() {
-            let (perm, stats) = self.compute_with_stats(g);
-            return (ExecOutcome::Completed(perm), stats);
-        }
-        let n = g.n();
-        if n == 0 {
-            return (
-                ExecOutcome::Completed(Permutation::identity(0)),
-                GorderStats::default(),
-            );
-        }
-        let _span = gorder_obs::span("gorder.build");
-        let (mut placement, stats, stop) = self.greedy(g, Some(budget), replay_cap(g));
-        let outcome = match stop {
-            None => {
-                let perm = Permutation::from_placement(&placement)
-                    .expect("greedy placement covers every node exactly once");
-                ExecOutcome::Completed(perm)
-            }
-            Some(reason) => {
-                chdfs_fill(g, &mut placement);
-                let perm = Permutation::from_placement(&placement)
-                    .expect("DFS fill covers every remaining node exactly once");
-                ExecOutcome::Degraded(perm, reason)
-            }
-        };
-        (outcome, stats)
     }
 }
 
@@ -953,7 +923,8 @@ mod tests {
         let (perm, stats) = GorderBuilder::new()
             .hub_threshold(Some(2))
             .build()
-            .compute_with_stats(&g);
+            .compute_budgeted(&g, &Budget::unlimited());
+        let perm = perm.value().expect("unlimited build completes");
         assert_valid_perm(&perm, 400);
         assert!(stats.hub_skips > 0, "threshold 2 must skip some hubs");
     }
@@ -964,7 +935,7 @@ mod tests {
         let (_, stats) = GorderBuilder::new()
             .hub_threshold(None)
             .build()
-            .compute_with_stats(&g);
+            .compute_budgeted(&g, &Budget::unlimited());
         assert_eq!(stats.hub_skips, 0);
     }
 
@@ -974,7 +945,7 @@ mod tests {
         // node after the seed is one pop, and a window of w keeps the
         // negative-net updates a strict subset of the per-step touches.
         let g = social(300);
-        let (_, stats) = Gorder::with_defaults().compute_with_stats(&g);
+        let (_, stats) = Gorder::with_defaults().compute_budgeted(&g, &Budget::unlimited());
         assert!(stats.increments > 0);
         assert_eq!(stats.pops, u64::from(g.n()) - 1);
         assert!(stats.heap_updates() >= stats.increments + stats.decrements);
@@ -985,7 +956,7 @@ mod tests {
         let g = social(300);
         let gorder = Gorder::with_defaults();
         let plain = gorder.compute(&g);
-        match gorder.compute_budgeted(&g, &crate::budget::Budget::unlimited()) {
+        match gorder.compute_budgeted(&g, &Budget::unlimited()).0 {
             crate::budget::ExecOutcome::Completed(perm) => {
                 assert_eq!(perm.as_slice(), plain.as_slice());
             }
@@ -1000,7 +971,7 @@ mod tests {
     fn budgeted_node_cap_degrades_to_valid_permutation() {
         let g = social(600);
         let budget = crate::budget::Budget::unlimited().with_node_cap(128);
-        match Gorder::with_defaults().compute_budgeted(&g, &budget) {
+        match Gorder::with_defaults().compute_budgeted(&g, &budget).0 {
             crate::budget::ExecOutcome::Degraded(perm, reason) => {
                 assert_eq!(reason, crate::budget::DegradeReason::NodeCapReached);
                 assert_valid_perm(&perm, 600);
@@ -1025,6 +996,7 @@ mod tests {
                 let budget = crate::budget::Budget::unlimited().with_node_cap(cap);
                 let perm = gorder
                     .compute_budgeted(&g, &budget)
+                    .0
                     .value()
                     .expect("a degraded run still carries a permutation");
                 let cap = cap as usize;
@@ -1042,7 +1014,7 @@ mod tests {
         let g = social(400);
         let budget = crate::budget::Budget::unlimited().with_node_cap(u64::MAX);
         budget.cancel();
-        match Gorder::with_defaults().compute_budgeted(&g, &budget) {
+        match Gorder::with_defaults().compute_budgeted(&g, &budget).0 {
             crate::budget::ExecOutcome::Degraded(perm, reason) => {
                 assert_eq!(reason, crate::budget::DegradeReason::Cancelled);
                 assert_valid_perm(&perm, 400);
@@ -1063,6 +1035,7 @@ mod tests {
         let budget = crate::budget::Budget::unlimited().with_node_cap(0);
         let perm = Gorder::with_defaults()
             .compute_budgeted(&g, &budget)
+            .0
             .value()
             .expect("degraded result still carries a permutation");
         assert_eq!(perm.placement(), vec![0, 1, 3, 2]);

@@ -32,8 +32,9 @@
 //! * [`budget`] — cooperative deadlines, node caps, and cancellation for
 //!   the fault-tolerant execution layer ([`Budget`], [`ExecOutcome`]).
 //!
-//! Partition-parallel Gorder lives in `gorder-orders` (`ParallelGorder`),
-//! where it shares the engine's scoped pool and degree-balanced ranges.
+//! Gorder has one build, [`Gorder::compute_budgeted`], which returns the
+//! outcome together with the run's heap counters; [`Gorder::compute`] is
+//! its unlimited-budget convenience. The greedy is sequential.
 
 pub mod budget;
 pub mod gorder;

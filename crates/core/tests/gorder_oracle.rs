@@ -10,6 +10,7 @@
 //! which is what the coalesced counters classify by sign. Raise the case
 //! count with `PROPTEST_CASES`.
 
+use gorder_core::budget::Budget;
 use gorder_core::{Gorder, GorderBuilder, GorderStats, UnitHeap};
 use gorder_graph::gen::{copying_model, preferential_attachment, PrefAttachConfig};
 use gorder_graph::{Graph, GraphBuilder, NodeId};
@@ -117,7 +118,8 @@ fn check(g: &Graph, window: u32, hub: Option<u32>) -> Result<(u64, u64), TestCas
         .hub_threshold(hub)
         .build();
     let expected = reference(&gorder, g);
-    let (perm, stats) = gorder.compute_with_stats(g);
+    let (outcome, stats) = gorder.compute_budgeted(g, &Budget::unlimited());
+    let perm = outcome.value().expect("an unlimited build completes");
     prop_assert_eq!(
         perm.placement(),
         expected.placement,

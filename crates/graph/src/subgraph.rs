@@ -1,9 +1,8 @@
 //! Induced subgraphs and node-set extraction.
 //!
-//! Utilities for carving a graph down to a node subset with dense
-//! re-numbering — used by the partition-parallel Gorder, the dynamic-graph
-//! experiments, and anyone who wants to run the benchmark suite on (say)
-//! one community of a larger network.
+//! Carving a graph down to a node subset with dense re-numbering — used
+//! by the recursive-bisection ordering, and by anyone who wants to run
+//! the benchmark suite on (say) one community of a larger network.
 
 use crate::csr::{Graph, GraphBuilder};
 use crate::NodeId;
@@ -55,17 +54,6 @@ pub fn induced(g: &Graph, keep: &[NodeId]) -> SubgraphMap {
     }
 }
 
-/// Extracts the subgraph induced by a contiguous id range `[lo, hi)`.
-pub fn induced_range(g: &Graph, lo: NodeId, hi: NodeId) -> SubgraphMap {
-    assert!(
-        lo <= hi && hi <= g.n(),
-        "invalid range [{lo}, {hi}) for n = {}",
-        g.n()
-    );
-    let keep: Vec<NodeId> = (lo..hi).collect();
-    induced(g, &keep)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,14 +79,6 @@ mod tests {
         assert!(sub.graph.has_edge(1, 0));
         assert_eq!(sub.to_original(0), 4);
         assert_eq!(sub.to_original(2), 3);
-    }
-
-    #[test]
-    fn range_extraction() {
-        let sub = induced_range(&g(), 3, 6);
-        assert_eq!(sub.graph.n(), 3);
-        assert_eq!(sub.graph.m(), 2);
-        assert_eq!(sub.original, vec![3, 4, 5]);
     }
 
     #[test]

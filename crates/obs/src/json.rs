@@ -405,6 +405,25 @@ impl Fields {
             .ok_or_else(|| format!("missing {key:?}"))
     }
 
+    /// The keys present, in sorted order.
+    pub fn keys(&self) -> impl Iterator<Item = &str> {
+        self.0.keys().map(String::as_str)
+    }
+
+    /// `get`'s reading of `key`, or `None` when the key is absent — for
+    /// lines that omit an optional key instead of writing `null`.
+    pub fn if_present<T>(
+        &self,
+        key: &str,
+        get: impl FnOnce(&Self, &str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        if self.0.contains_key(key) {
+            get(self, key).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+
     fn non_null(&self, key: &str) -> Result<Option<&str>, String> {
         self.raw(key).map(|raw| (raw != "null").then_some(raw))
     }

@@ -12,7 +12,7 @@
 //!
 //! Defaults follow the replication: `S = m`, `k = m/n`.
 
-use crate::OrderingAlgorithm;
+use crate::{OrderStats, OrderingAlgorithm};
 use gorder_core::budget::{Budget, DegradeReason, ExecOutcome};
 use gorder_graph::{Graph, NodeId, Permutation};
 use rand::rngs::StdRng;
@@ -279,7 +279,12 @@ impl OrderingAlgorithm for Annealing {
         self.compute_with_energy(g).0
     }
 
-    fn compute_budgeted(&self, g: &Graph, budget: &Budget) -> ExecOutcome<Permutation> {
+    fn compute_budgeted(
+        &self,
+        g: &Graph,
+        budget: &Budget,
+        _stats: &mut OrderStats,
+    ) -> ExecOutcome<Permutation> {
         self.compute_budgeted_with_energy(g, budget)
             .map(|(perm, _)| perm)
     }

@@ -5,7 +5,6 @@ use crate::runner::OrderStats;
 use crate::OrderingAlgorithm;
 use gorder_core::budget::{Budget, ExecOutcome};
 use gorder_core::{Gorder, GorderBuilder};
-use gorder_engine::ExecPlan;
 use gorder_graph::{Graph, Permutation};
 
 /// Gorder as a member of the ordering zoo.
@@ -50,18 +49,13 @@ impl OrderingAlgorithm for GorderOrdering {
         self.inner.compute(g)
     }
 
-    fn compute_budgeted(&self, g: &Graph, budget: &Budget) -> ExecOutcome<Permutation> {
-        self.inner.compute_budgeted(g, budget)
-    }
-
-    fn compute_plan(
+    fn compute_budgeted(
         &self,
         g: &Graph,
-        _plan: ExecPlan,
         budget: &Budget,
         stats: &mut OrderStats,
     ) -> ExecOutcome<Permutation> {
-        let (outcome, gs) = self.inner.compute_budgeted_with_stats(g, budget);
+        let (outcome, gs) = self.inner.compute_budgeted(g, budget);
         stats.heap_increments = gs.increments;
         stats.heap_decrements = gs.decrements;
         stats.heap_pops = gs.pops;

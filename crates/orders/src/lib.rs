@@ -21,6 +21,13 @@
 //! does not scale to the evaluation's graphs); [`bisection`] provides a
 //! lightweight partitioning ordering in its place, and [`extensions`]
 //! adds the follow-on literature's HubSort/HubCluster/DBG.
+//!
+//! Every ordering is sequential and implements [`compute`] plus, when it
+//! has an anytime path or counters to report, the one budgeted entry
+//! [`compute_budgeted`] — the method [`run_ordering`] calls.
+//!
+//! [`compute`]: OrderingAlgorithm::compute
+//! [`compute_budgeted`]: OrderingAlgorithm::compute_budgeted
 
 pub mod annealing;
 pub mod bisection;
@@ -31,7 +38,6 @@ pub mod extensions;
 pub mod gorder_impl;
 pub mod layout_cache;
 pub mod ldg;
-pub mod parallel;
 pub mod rcm;
 pub mod runner;
 pub mod single_flight;
@@ -47,15 +53,14 @@ pub use degsort::InDegSort;
 pub use extensions::{Dbg, HubCluster, HubSort};
 pub use layout_cache::{Admission, LayoutCache, LayoutStats};
 pub use ldg::Ldg;
-pub use parallel::ParallelGorder;
 pub use rcm::Rcm;
 pub use runner::{resolve_ordering, run_by_name_plan, run_ordering, OrderStats, OrderingRun};
 pub use single_flight::{FlightResult, SingleFlight};
 pub use slashburn::SlashBurn;
 pub use trivial::{Original, RandomOrder};
 
-// Re-exported so downstream crates (e.g. `gorder-bench`) can build plans
-// without depending on the engine crate directly.
+// Re-exported because `run_ordering` and `run_by_name_plan` still take a
+// plan; no ordering reads it (see `runner`).
 pub use gorder_engine::ExecPlan;
 
 use gorder_core::budget::{Budget, ExecOutcome};
@@ -64,40 +69,31 @@ use gorder_graph::{Graph, Permutation};
 /// A node-ordering method: computes a bijection `old id → new id`.
 ///
 /// Object-safe so harnesses can hold `Vec<Box<dyn OrderingAlgorithm>>`.
+/// An ordering implements [`compute`](Self::compute); the harness calls
+/// [`compute_budgeted`](Self::compute_budgeted) through [`run_ordering`],
+/// which times the build and exports the stats it fills.
 pub trait OrderingAlgorithm: Send + Sync {
     /// Name as it appears in the paper's figures.
     fn name(&self) -> &'static str;
     /// Computes the permutation for `g`.
     fn compute(&self, g: &Graph) -> Permutation;
-    /// Budget-aware variant. The default forwards to
+    /// The one overridable budgeted entry. The default returns
+    /// `TimedOut` for a budget already exhausted and otherwise
     /// [`compute`](Self::compute) — right for the cheap orderings, which
-    /// finish long before any realistic budget bites (they only check the
-    /// budget on entry, so a pre-cancelled budget still short-circuits).
-    /// Anytime orderings (Gorder, the annealers) override this to stop at
-    /// the budget and return their best valid permutation so far.
-    fn compute_budgeted(&self, g: &Graph, budget: &Budget) -> ExecOutcome<Permutation> {
+    /// finish long before any realistic budget bites. Anytime orderings
+    /// (Gorder, the annealers) override it to stop at the budget and
+    /// return their best valid permutation so far, and orderings with
+    /// internal counters (Gorder's unit heap) fill `stats` here.
+    fn compute_budgeted(
+        &self,
+        g: &Graph,
+        budget: &Budget,
+        _stats: &mut OrderStats,
+    ) -> ExecOutcome<Permutation> {
         if budget.exhausted(0).is_some() {
             return ExecOutcome::TimedOut;
         }
         ExecOutcome::Completed(self.compute(g))
-    }
-    /// Plan- and stats-aware variant, the entry point the unified runner
-    /// ([`run_ordering`]) calls. Mirrors the kernel engine's contract:
-    /// **plans never change results** — the permutation under any
-    /// [`ExecPlan`] is identical to the serial one (partition-parallel
-    /// Gorder, which trades quality for speed, is therefore a separate
-    /// opt-in algorithm, [`ParallelGorder`], not a plan behaviour).
-    /// The default forwards to [`compute_budgeted`](Self::compute_budgeted)
-    /// and records nothing extra; orderings with internal counters
-    /// (the Gorder family) override this to fill `stats`.
-    fn compute_plan(
-        &self,
-        g: &Graph,
-        _plan: ExecPlan,
-        budget: &Budget,
-        _stats: &mut OrderStats,
-    ) -> ExecOutcome<Permutation> {
-        self.compute_budgeted(g, budget)
     }
     /// Canonical parameter string for cache keys and trace records, e.g.
     /// `"w=5"`. Empty for parameter-free orderings. Must cover every

@@ -10,9 +10,10 @@
 //! gone), and hands back the permutation and stats together as an
 //! [`OrderingRun`].
 //!
-//! [`run_by_name_plan`] is the string-keyed entry point the CLI and
-//! sweeps use: it resolves a name against the extended registry
-//! ([`crate::extensions::extended`]) and runs it under a plan + budget.
+//! [`run_by_name_plan`] is the string-keyed entry point: it resolves a
+//! name against the extended registry ([`crate::extensions::extended`])
+//! and runs it under a budget. Both take an `ExecPlan` that no ordering
+//! reads — every ordering is sequential, and plans never change results.
 //! [`resolve_ordering`] puts the permutation cache and the `order` trace
 //! record around a run; the sweeps, the CLI and the daemon all resolve
 //! through it.
@@ -50,10 +51,6 @@ pub struct OrderStats {
     pub hub_skips: u64,
     /// Seconds spent computing the permutation.
     pub compute_secs: f64,
-    /// Seconds spent validating/finishing (bijection checks, mapping).
-    pub finish_secs: f64,
-    /// Worker threads the ordering actually used (1 for the serial zoo).
-    pub threads_used: u32,
     /// Whether the run degraded (budget exhausted mid-build).
     pub degraded: bool,
     /// Whether the permutation came from the on-disk cache rather than
@@ -84,10 +81,6 @@ impl OrderStats {
         );
         reg.counter_add(&format!("order.{ordering}.hub_skips"), self.hub_skips);
         reg.span_record(&format!("order.{ordering}.compute"), self.compute_secs);
-        reg.gauge_set(
-            &format!("order.{ordering}.threads_used"),
-            f64::from(self.threads_used),
-        );
     }
 }
 
@@ -101,49 +94,43 @@ pub struct OrderingRun {
     pub stats: OrderStats,
 }
 
-/// Runs one ordering under a plan and budget, returning the permutation
-/// with populated [`OrderStats`]. This is the single stats path: counters
+/// Runs one ordering under a budget, returning the permutation with
+/// populated [`OrderStats`]. This is the single stats path: counters
 /// reach the global registry exactly once, here, on `Completed` and
 /// `Degraded` outcomes (a run that produced no permutation exports
-/// nothing).
+/// nothing). Every ordering is sequential, so `_plan` reaches none of
+/// them; it stays in the signature for the callers that pass one.
 pub fn run_ordering(
     o: &dyn OrderingAlgorithm,
     g: &Graph,
-    plan: ExecPlan,
+    _plan: ExecPlan,
     budget: &Budget,
 ) -> ExecOutcome<OrderingRun> {
-    let mut stats = OrderStats {
-        threads_used: 1,
-        ..OrderStats::default()
-    };
+    let mut stats = OrderStats::default();
     let t0 = Instant::now();
-    let outcome = o.compute_plan(g, plan, budget, &mut stats);
+    let outcome = o.compute_budgeted(g, budget, &mut stats);
     stats.compute_secs = t0.elapsed().as_secs_f64();
-    let finish = |mut stats: OrderStats, perm: &Permutation, degraded: bool| {
-        let t1 = Instant::now();
-        stats.nodes_placed = u64::from(perm.len());
-        stats.degraded = degraded;
-        stats.finish_secs = t1.elapsed().as_secs_f64();
+    let finish = |perm: Permutation, degraded: bool| {
+        let stats = OrderStats {
+            nodes_placed: u64::from(perm.len()),
+            degraded,
+            ..stats
+        };
         stats.export(o.name());
-        stats
+        OrderingRun { perm, stats }
     };
     match outcome {
-        ExecOutcome::Completed(perm) => {
-            let stats = finish(stats, &perm, false);
-            ExecOutcome::Completed(OrderingRun { perm, stats })
-        }
-        ExecOutcome::Degraded(perm, reason) => {
-            let stats = finish(stats, &perm, true);
-            ExecOutcome::Degraded(OrderingRun { perm, stats }, reason)
-        }
+        ExecOutcome::Completed(perm) => ExecOutcome::Completed(finish(perm, false)),
+        ExecOutcome::Degraded(perm, reason) => ExecOutcome::Degraded(finish(perm, true), reason),
         ExecOutcome::TimedOut => ExecOutcome::TimedOut,
         ExecOutcome::Failed(e) => ExecOutcome::Failed(e),
     }
 }
 
 /// Resolves `name` against the extended registry (case-insensitively)
-/// and runs it via [`run_ordering`]. `None` means the name is unknown —
-/// callers can offer [`crate::suggest_name`] in their error message.
+/// and runs it via [`run_ordering`] (which no `plan` changes). `None`
+/// means the name is unknown — callers can offer [`crate::suggest_name`]
+/// in their error message.
 pub fn run_by_name_plan(
     name: &str,
     seed: u64,
@@ -183,7 +170,8 @@ pub fn resolve_ordering(
         heap_increments: stats.heap_increments,
         heap_decrements: stats.heap_decrements,
         heap_pops: stats.heap_pops,
-        threads_used: u64::from(stats.threads_used),
+        // every ordering is sequential
+        threads_used: 1,
         cache_hit: stats.cache_hit,
     };
     if let Some(cache) = cache {
@@ -191,7 +179,6 @@ pub fn resolve_ordering(
         if let Some(perm) = cache.load(key, n) {
             let stats = OrderStats {
                 nodes_placed: u64::from(perm.len()),
-                threads_used: 1,
                 cache_hit: true,
                 ..Default::default()
             };
@@ -234,7 +221,6 @@ mod tests {
         assert_eq!(run.stats.nodes_placed, u64::from(g.n()));
         assert!(run.stats.heap_pops > 0, "gorder pops the heap");
         assert!(run.stats.heap_increments > 0);
-        assert_eq!(run.stats.threads_used, 1);
         assert!(!run.stats.degraded);
         assert!(!run.stats.cache_hit);
     }

@@ -1,7 +1,7 @@
 //! The ordering-counter single-export contract: counters reach the
 //! global registry exactly once per run, in `run_ordering` — never from
-//! `compute`/`compute_with_stats`/`compute_budgeted` themselves (the
-//! legacy `GorderStats::export()` is gone).
+//! the orderings' own `compute`/`compute_budgeted` or from Gorder's
+//! build (the stats those fill are plain data).
 //!
 //! One test function, so nothing else in this process touches the
 //! counters between our snapshots.
@@ -10,7 +10,7 @@ use gorder_core::budget::Budget;
 use gorder_core::Gorder;
 use gorder_graph::gen::copying_model;
 use gorder_orders::gorder_impl::GorderOrdering;
-use gorder_orders::{run_ordering, ExecPlan, OrderingAlgorithm};
+use gorder_orders::{run_ordering, ExecPlan, OrderStats, OrderingAlgorithm};
 
 #[test]
 fn ordering_counters_export_exactly_once_per_run() {
@@ -24,8 +24,8 @@ fn ordering_counters_export_exactly_once_per_run() {
     // plain data until the runner exports them.
     let o = GorderOrdering::with_defaults();
     let _ = o.compute(&g);
-    let _ = Gorder::with_defaults().compute_with_stats(&g);
-    let _ = o.compute_budgeted(&g, &Budget::unlimited());
+    let _ = Gorder::with_defaults().compute_budgeted(&g, &Budget::unlimited());
+    let _ = o.compute_budgeted(&g, &Budget::unlimited(), &mut OrderStats::default());
     assert_eq!(reg.counter("order.Gorder.runs"), runs0);
     assert_eq!(reg.counter("order.Gorder.heap.pops"), pops0);
     assert_eq!(reg.counter("order.Gorder.heap.increments"), incs0);

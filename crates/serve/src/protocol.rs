@@ -20,10 +20,9 @@
 //! result's `checksum` (the kernel's for `run`, the cache replay's for
 //! `simulate`, the permutation's for `order`).
 
-use std::collections::BTreeMap;
 use std::io::{BufRead, Read};
 
-use gorder_obs::json::{self, JsonObject};
+use gorder_obs::json::{Fields, JsonObject};
 
 /// Hard cap on one request frame, newline included. Anything longer is
 /// rejected before parsing — a client streaming garbage must not grow
@@ -88,29 +87,18 @@ impl Request {
     }
 }
 
-fn field_str(obj: &BTreeMap<String, String>, key: &str) -> Result<Option<String>, String> {
-    match obj.get(key) {
-        None => Ok(None),
-        Some(raw) => json::parse_string(raw).map(Some),
-    }
-}
-
-fn field_u64(obj: &BTreeMap<String, String>, key: &str) -> Result<Option<u64>, String> {
-    match obj.get(key) {
-        None => Ok(None),
-        Some(raw) => raw
-            .parse::<u64>()
-            .map(Some)
-            .map_err(|_| format!("field {key:?} must be a non-negative integer, got {raw}")),
-    }
+/// A string field the frame must carry.
+fn required(f: &Fields, key: &str) -> Result<String, String> {
+    f.if_present(key, Fields::str)?
+        .ok_or_else(|| format!("missing {key:?} field"))
 }
 
 /// Parses one request line. Strict: the line must be one JSON object in
 /// the writer's grammar, `op` must be known, every other key must belong
 /// to that op, and numeric fields must be bare non-negative integers.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    let obj = json::parse_object(line)?;
-    let op = field_str(&obj, "op")?.ok_or("missing \"op\" field")?;
+    let f = Fields::parse(line)?;
+    let op = required(&f, "op")?;
     let work_keys = [
         "op",
         "dataset",
@@ -126,7 +114,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "order" | "run" | "simulate" => &work_keys,
         other => return Err(format!("unknown op {other:?}")),
     };
-    if let Some(bad) = obj.keys().find(|k| !allowed.contains(&k.as_str())) {
+    if let Some(bad) = f.keys().find(|k| !allowed.contains(k)) {
         return Err(format!("unknown field {bad:?} for op {op:?}"));
     }
     match op.as_str() {
@@ -135,15 +123,17 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "shutdown" => return Ok(Request::Shutdown),
         _ => {}
     }
+    let str_field = |key| f.if_present(key, Fields::str);
+    let u64_field = |key| f.if_present(key, Fields::u64);
     let spec = WorkSpec {
-        dataset: field_str(&obj, "dataset")?.ok_or("missing \"dataset\" field")?,
-        ordering: field_str(&obj, "ordering")?,
-        algo: field_str(&obj, "algo")?,
-        window: u32::try_from(field_u64(&obj, "window")?.unwrap_or(5))
+        dataset: required(&f, "dataset")?,
+        ordering: str_field("ordering")?,
+        algo: str_field("algo")?,
+        window: u32::try_from(u64_field("window")?.unwrap_or(5))
             .map_err(|_| "field \"window\" out of range".to_string())?,
-        seed: field_u64(&obj, "seed")?.unwrap_or(0),
-        timeout_ms: field_u64(&obj, "timeout_ms")?,
-        threads: u32::try_from(field_u64(&obj, "threads")?.unwrap_or(1))
+        seed: u64_field("seed")?.unwrap_or(0),
+        timeout_ms: u64_field("timeout_ms")?,
+        threads: u32::try_from(u64_field("threads")?.unwrap_or(1))
             .map_err(|_| "field \"threads\" out of range".to_string())?
             .max(1),
     };
@@ -260,34 +250,24 @@ pub struct Response {
 
 /// Parses one response line (client side).
 pub fn parse_response(line: &str) -> Result<Response, String> {
-    let obj = json::parse_object(line)?;
-    let status = field_str(&obj, "status")?.ok_or("missing \"status\" field")?;
-    let op = field_str(&obj, "op")?.ok_or("missing \"op\" field")?;
-    let tier = match obj.get("tier").map(String::as_str) {
-        None | Some("null") => None,
-        Some(raw) => Some(json::parse_string(raw)?),
-    };
+    let f = Fields::parse(line)?;
+    let status = required(&f, "status")?;
+    let op = required(&f, "op")?;
     let report = match status.as_str() {
-        "error" => field_str(&obj, "error")?.ok_or("error response missing \"error\"")?,
-        _ => field_str(&obj, "report")?.unwrap_or_default(),
+        "error" => f
+            .if_present("error", Fields::str)?
+            .ok_or("error response missing \"error\"")?,
+        _ => f.if_present("report", Fields::str)?.unwrap_or_default(),
     };
-    let seconds = obj
-        .get("seconds")
-        .map(|raw| {
-            raw.parse::<f64>()
-                .map_err(|_| format!("bad \"seconds\": {raw}"))
-        })
-        .transpose()?
-        .unwrap_or(0.0);
     Ok(Response {
         status,
         op,
-        tier,
-        degraded_serial: obj.get("degraded_serial").map(String::as_str) == Some("true"),
-        checksum: field_u64(&obj, "checksum")?,
+        tier: f.if_present("tier", Fields::opt_str)?.flatten(),
+        degraded_serial: f.if_present("degraded_serial", Fields::bool)? == Some(true),
+        checksum: f.if_present("checksum", Fields::u64)?,
         report,
-        seconds,
-        retry_after_ms: field_u64(&obj, "retry_after_ms")?,
+        seconds: f.if_present("seconds", Fields::f64)?.unwrap_or(0.0),
+        retry_after_ms: f.if_present("retry_after_ms", Fields::u64)?,
     })
 }
 

@@ -7,7 +7,7 @@ use gorder_core::budget::{Budget, DegradeReason, ExecOutcome};
 use gorder_core::score::f_score_of;
 use gorder_core::Gorder;
 use gorder_graph::{Graph, Permutation};
-use gorder_orders::{Annealing, ChDfs, EnergyModel, OrderingAlgorithm};
+use gorder_orders::{Annealing, ChDfs, EnergyModel, OrderStats, OrderingAlgorithm};
 
 const WINDOW: u32 = 5;
 
@@ -47,7 +47,7 @@ fn budget_exhausted_gorder_is_no_worse_than_chdfs() {
     // (pure ChDFS fallback) and beyond n (never exhausted).
     for cap in [0u64, 128, 256, 1 << 20] {
         let budget = Budget::unlimited().with_node_cap(cap);
-        let (perm, degraded) = match Gorder::with_defaults().compute_budgeted(&g, &budget) {
+        let (perm, degraded) = match Gorder::with_defaults().compute_budgeted(&g, &budget).0 {
             ExecOutcome::Completed(p) => (p, false),
             ExecOutcome::Degraded(p, DegradeReason::NodeCapReached) => (p, true),
             other => panic!("unexpected outcome {}", other.status_label()),
@@ -69,7 +69,10 @@ fn budget_exhausted_annealing_is_no_worse_than_chdfs() {
     // anytime contract guarantees the degraded result is never worse
     // than that start, which comfortably beats ChDFS on F.
     let base = grid();
-    let gorder_perm = match Gorder::with_defaults().compute_budgeted(&base, &Budget::unlimited()) {
+    let gorder_perm = match Gorder::with_defaults()
+        .compute_budgeted(&base, &Budget::unlimited())
+        .0
+    {
         ExecOutcome::Completed(p) => p,
         other => panic!(
             "unlimited Gorder should complete, got {}",
@@ -81,7 +84,7 @@ fn budget_exhausted_annealing_is_no_worse_than_chdfs() {
     // A huge annealing run cut off almost immediately.
     let annealer = Annealing::with_params(EnergyModel::Linear, 100_000_000, 1.0, 7);
     let budget = Budget::unlimited().with_node_cap(2048);
-    let perm = match annealer.compute_budgeted(&g, &budget) {
+    let perm = match annealer.compute_budgeted(&g, &budget, &mut OrderStats::default()) {
         ExecOutcome::Degraded(p, DegradeReason::NodeCapReached) => p,
         other => panic!(
             "expected Degraded(NodeCapReached), got {}",

@@ -8,7 +8,9 @@ use gorder_bench::{run_guarded, sweep, CellStatus, GridConfig, Sweep};
 use gorder_core::budget::{Budget, ExecOutcome};
 use gorder_graph::datasets::epinion_like;
 use gorder_graph::{Graph, Permutation};
-use gorder_orders::{run_ordering, Annealing, EnergyModel, ExecPlan, OrderingAlgorithm};
+use gorder_orders::{
+    run_ordering, Annealing, EnergyModel, ExecPlan, OrderStats, OrderingAlgorithm,
+};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -103,7 +105,7 @@ fn sweep_with_injected_faults_completes_and_reports() {
 fn one_millisecond_annealing_budget_degrades_not_dies() {
     let g = epinion_like().build(0.02);
     let budget = Budget::unlimited().with_timeout(Duration::from_millis(1));
-    match oversized_annealing().compute_budgeted(&g, &budget) {
+    match oversized_annealing().compute_budgeted(&g, &budget, &mut OrderStats::default()) {
         ExecOutcome::Degraded(perm, _) => {
             // The anytime result is a valid bijection over the full graph.
             assert!(Permutation::try_new(perm.as_slice().to_vec()).is_ok());

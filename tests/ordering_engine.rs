@@ -65,7 +65,6 @@ fn runner_returns_populated_stats() {
                 u64::from(g.n()),
                 "{name} placed the wrong node count"
             );
-            assert!(s.threads_used >= 1, "{name} reported zero threads");
             assert!(
                 s.compute_secs >= 0.0 && s.compute_secs.is_finite(),
                 "{name} timing is broken"
