@@ -75,6 +75,38 @@ impl From<GraphIoError> for CliError {
     }
 }
 
+/// A failed command, with the `order` record its ordering left when one
+/// ran: an empty-handed resolution (timed out or failed) is traced like
+/// a successful one, so `--trace-out` still says how long it ran.
+#[derive(Debug)]
+pub struct CmdError {
+    /// Why the command failed; decides the exit code.
+    pub error: CliError,
+    /// The `order` record, when an ordering ran or was looked up.
+    pub order: Option<Box<OrderEvent>>,
+}
+
+impl CmdError {
+    fn resolving(error: CliError, order: OrderEvent) -> Self {
+        CmdError {
+            error,
+            order: Some(Box::new(order)),
+        }
+    }
+}
+
+impl std::fmt::Display for CmdError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.error.fmt(f)
+    }
+}
+
+impl From<CliError> for CmdError {
+    fn from(error: CliError) -> Self {
+        CmdError { error, order: None }
+    }
+}
+
 /// A finished `run`/`simulate`: the kernel's outcome, the `--method`
 /// ordering its graph was laid out with, and a marker when that ordering
 /// ran out of budget partway. Degradation is still success — the output
@@ -89,6 +121,8 @@ pub struct CmdOutput {
     pub ordering: Option<String>,
     /// Set when a budgeted stage returned an anytime (partial) result.
     pub degraded: Option<DegradeReason>,
+    /// The `order` record of the `--method` ordering, if one was named.
+    pub order: Option<OrderEvent>,
 }
 
 impl CmdOutput {
@@ -107,10 +141,16 @@ impl CmdOutput {
         self.outcome.stats_line(self.ordering.as_deref())
     }
 
-    /// The `kernel` trace record, written after the manifest under
-    /// `--trace-out`.
+    /// The `kernel` trace record.
     pub fn event(&self) -> TraceEvent {
         TraceEvent::Kernel(self.outcome.event(self.ordering.as_deref()))
+    }
+
+    /// Every record `--trace-out` writes after the manifest: the `order`
+    /// record, if an ordering was named, then the `kernel` record.
+    pub fn events(&self) -> Vec<TraceEvent> {
+        let order = self.order.clone().map(TraceEvent::Order);
+        order.into_iter().chain([self.event()]).collect()
     }
 }
 
@@ -242,8 +282,9 @@ pub struct ResolvedOrdering {
 /// never cached — they depend on the budget, not just the key). A
 /// degraded result (the anytime prefix completed by a cheaper fallback)
 /// is still a valid permutation and is returned with its reason; an
-/// empty-handed timeout or failure becomes a [`CliError`]. `dataset`
-/// labels the resulting [`OrderEvent`] (the CLI passes the input path).
+/// empty-handed timeout or failure becomes a [`CmdError`] that still
+/// carries the [`OrderEvent`]. `dataset` labels that event (the CLI
+/// passes the input path).
 pub fn resolve_ordering_cached(
     g: &Graph,
     method: &str,
@@ -252,7 +293,7 @@ pub fn resolve_ordering_cached(
     timeout: Option<Duration>,
     cache: Option<&OrderCache>,
     dataset: Option<&str>,
-) -> Result<ResolvedOrdering, CliError> {
+) -> Result<ResolvedOrdering, CmdError> {
     let o = ordering_by_name(method, window, seed).map_err(CliError::Usage)?;
     let key = CacheKey::for_ordering(g, o.as_ref(), seed);
     let budget = budget_from(timeout);
@@ -262,8 +303,8 @@ pub fn resolve_ordering_cached(
     let (perm, degraded) = match outcome {
         ExecOutcome::Completed(perm) => (perm, None),
         ExecOutcome::Degraded(perm, reason) => (perm, Some(reason)),
-        ExecOutcome::TimedOut => return Err(CliError::TimedOut),
-        ExecOutcome::Failed(msg) => return Err(CliError::Failed(msg)),
+        ExecOutcome::TimedOut => return Err(CmdError::resolving(CliError::TimedOut, event)),
+        ExecOutcome::Failed(msg) => return Err(CmdError::resolving(CliError::Failed(msg), event)),
     };
     Ok(ResolvedOrdering {
         perm,
@@ -288,14 +329,14 @@ pub fn run_algorithm_budgeted(
     seed: u64,
     timeout: Option<Duration>,
     measure: Measure,
-) -> Result<CmdOutput, CliError> {
+) -> Result<CmdOutput, CmdError> {
     // Resolve the kernel first: a typo must not cost an ordering.
     let algo = kernel_label(algo).map_err(|e| CliError::Usage(e.to_string()))?;
-    let (graph, degraded) = match ordering {
-        None => (Cow::Borrowed(g), None),
+    let (graph, degraded, order) = match ordering {
+        None => (Cow::Borrowed(g), None, None),
         Some(name) => {
             let r = resolve_ordering_cached(g, name, window, seed, timeout, None, None)?;
-            (Cow::Owned(g.relabel(&r.perm)), r.degraded)
+            (Cow::Owned(g.relabel(&r.perm)), r.degraded, Some(r.event))
         }
     };
     let outcome = run_named(algo, &graph, seed, measure).expect("kernel resolved above");
@@ -303,6 +344,7 @@ pub fn run_algorithm_budgeted(
         outcome,
         ordering: ordering.map(str::to_string),
         degraded,
+        order,
     })
 }
 
@@ -421,8 +463,11 @@ mod tests {
             Some(Duration::from_secs(0)),
             Measure::Wall { threads: 1 },
         ) {
-            Err(CliError::TimedOut) => {}
-            other => panic!("expected TimedOut, got {other:?}"),
+            Err(CmdError {
+                error: CliError::TimedOut,
+                order: Some(order),
+            }) => assert_eq!(order.status, "timed-out"),
+            other => panic!("expected TimedOut with its order record, got {other:?}"),
         }
     }
 
@@ -459,12 +504,14 @@ mod tests {
     #[test]
     fn unknown_ordering_or_gorder_window_zero_is_usage() {
         let g = Graph::from_edges(2, &[(0, 1)]);
-        match resolve_ordering_cached(&g, "nope", 5, 1, None, None, None) {
+        match resolve_ordering_cached(&g, "nope", 5, 1, None, None, None).map_err(|e| e.error) {
             Err(CliError::Usage(msg)) => assert!(msg.contains("unknown ordering")),
             Err(other) => panic!("expected Usage, got {other:?}"),
             Ok(_) => panic!("expected Usage, got a permutation"),
         }
-        match run_algorithm_budgeted(&g, "BFS", Some("Gorder"), 0, 1, None, Measure::Modelled) {
+        match run_algorithm_budgeted(&g, "BFS", Some("Gorder"), 0, 1, None, Measure::Modelled)
+            .map_err(|e| e.error)
+        {
             Err(CliError::Usage(msg)) => assert!(msg.contains("window"), "{msg}"),
             other => panic!("expected Usage, got {other:?}"),
         }

@@ -9,7 +9,7 @@
 use gorder_cachesim::outcome::{kernel_labels, Measure};
 use gorder_cli::{
     load, resolve_ordering_cached, run_algorithm_budgeted, save, stats_report, validate_trace_file,
-    CliError, ResolvedOrdering,
+    CliError, CmdError, ResolvedOrdering,
 };
 use gorder_core::budget::DegradeReason;
 use gorder_obs::{RunManifest, TraceEvent, TraceSink};
@@ -97,7 +97,8 @@ impl Flags {
 
 /// Opens the `--trace-out` sink, writes the manifest and `events`, then
 /// appends every metric the global registry accumulated during the run
-/// (gorder.build spans, unit-heap counters, kernel.* aggregates).
+/// (graph.build, graph.relabel and gorder.build spans, unit-heap
+/// counters, kernel.* aggregates).
 ///
 /// Written atomically (dotted temp name + rename): unlike the sweep
 /// harness's streaming traces — which double as crash logs and are
@@ -126,6 +127,20 @@ fn write_trace(path: &Path, manifest: &RunManifest, events: &[TraceEvent]) -> Re
     std::fs::rename(&tmp, path).map_err(fail)?;
     eprintln!("trace: {} lines -> {}", lines, path.display());
     Ok(())
+}
+
+/// Under `--trace-out`, writes the trace of a command that failed after
+/// its ordering ran: the manifest and the `order` record, so an
+/// empty-handed resolution still says what it tried and for how long.
+/// Returns the command's own error, which keeps its exit code; a trace
+/// that cannot be written is reported on stderr.
+fn trace_failure(flags: &Flags, manifest: &RunManifest, e: CmdError) -> CliError {
+    if let (Some(path), Some(order)) = (&flags.trace_out, e.order) {
+        if let Err(trace_err) = write_trace(path, manifest, &[TraceEvent::Order(*order)]) {
+            eprintln!("{trace_err}");
+        }
+    }
+    e.error
 }
 
 fn parse_flags(args: &[String]) -> Result<Flags, CliError> {
@@ -296,6 +311,8 @@ fn real_main() -> Result<Option<DegradeReason>, CliError> {
             let g = load(&PathBuf::from(&input))?;
             eprintln!("loaded {}: n = {}, m = {}", input, g.n(), g.m());
             let t = std::time::Instant::now();
+            let mut manifest = flags.manifest("order", None, &input);
+            manifest.ordering = Some(method.to_string());
             let ResolvedOrdering {
                 perm,
                 degraded,
@@ -308,7 +325,8 @@ fn real_main() -> Result<Option<DegradeReason>, CliError> {
                 flags.timeout,
                 cache.as_ref(),
                 Some(&input),
-            )?;
+            )
+            .map_err(|e| trace_failure(&flags, &manifest, e))?;
             eprintln!(
                 "{method} {} in {:.2?}",
                 if event.cache_hit {
@@ -321,10 +339,7 @@ fn real_main() -> Result<Option<DegradeReason>, CliError> {
             save(&g.relabel(&perm), &PathBuf::from(&output))?;
             println!("wrote {output}");
             if let Some(path) = &flags.trace_out {
-                let mut manifest = flags.manifest("order", None, &input);
-                manifest.ordering = Some(method.to_string());
-                let events = [TraceEvent::Order(event)];
-                write_trace(path, &manifest, &events)?;
+                write_trace(path, &manifest, &[TraceEvent::Order(event)])?;
             }
             Ok(degraded)
         }
@@ -354,6 +369,7 @@ fn real_main() -> Result<Option<DegradeReason>, CliError> {
             } else {
                 Measure::Modelled
             };
+            let manifest = flags.manifest(cmd, Some(&algo), &input);
             let out = run_algorithm_budgeted(
                 &g,
                 &algo,
@@ -362,14 +378,14 @@ fn real_main() -> Result<Option<DegradeReason>, CliError> {
                 flags.seed,
                 flags.timeout,
                 measure,
-            )?;
+            )
+            .map_err(|e| trace_failure(&flags, &manifest, e))?;
             println!("{}", out.report());
             if flags.stats {
                 println!("{}", out.stats_line());
             }
             if let Some(path) = &flags.trace_out {
-                let manifest = flags.manifest(cmd, Some(&algo), &input);
-                write_trace(path, &manifest, &[out.event()])?;
+                write_trace(path, &manifest, &out.events())?;
             }
             Ok(out.degraded)
         }

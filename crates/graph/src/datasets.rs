@@ -22,7 +22,8 @@
 
 use crate::csr::{Graph, GraphBuilder};
 use crate::gen::{
-    preferential_attachment, stochastic_block_model, web_graph, PrefAttachConfig, WebGraphConfig,
+    preferential_attachment_edges, stochastic_block_model_edges, web_graph, PrefAttachConfig,
+    WebGraphConfig,
 };
 use crate::permutation::Permutation;
 use crate::NodeId;
@@ -114,24 +115,25 @@ pub fn crawl_relabel(g: &Graph) -> Graph {
 fn social_blend(pa: PrefAttachConfig, mean_block: u32, in_block_degree: f64, seed: u64) -> Graph {
     use rand::SeedableRng;
     let n = pa.n;
-    let hubs = preferential_attachment(pa);
     let blocks = (n / mean_block).max(2);
     let block = n.div_ceil(blocks).max(2);
     let p_in = (in_block_degree / f64::from(block - 1)).min(1.0);
-    let communities = stochastic_block_model(n, blocks, p_in, 0.0, seed);
+    // Upper bound on the raw pairs: PA's two per draw, then both SBMs'
+    // expected in-block degree with room to spare.
+    let est = n as usize * (2 * pa.out_degree as usize + 2 * in_block_degree.ceil() as usize);
+    let mut b = GraphBuilder::with_capacity(n, est);
+    preferential_attachment_edges(pa, &mut b);
     // Half the community mass stays aligned with the id order (cohorts:
     // users who joined together befriend each other — this is the
     // locality the Original order carries and the reason it beats
     // Random), and half is scattered across the id range (interest groups
     // independent of join date — the locality only a reordering can
     // recover).
-    let cohorts = stochastic_block_model(n, blocks, p_in * 0.5, 0.0, seed ^ 0xA11);
+    stochastic_block_model_edges(blocks, p_in * 0.5, 0.0, seed ^ 0xA11, &mut b);
+    let interests = b.raw_edge_count();
+    stochastic_block_model_edges(blocks, p_in, 0.0, seed, &mut b);
     let scatter = Permutation::random(n, &mut rand::rngs::StdRng::seed_from_u64(seed ^ 0x5CA7));
-    let interests = communities.relabel(&scatter);
-    let mut b = GraphBuilder::with_capacity(n, (hubs.m() + cohorts.m() + interests.m()) as usize);
-    for (u, v) in hubs.edges().chain(cohorts.edges()).chain(interests.edges()) {
-        b.add_edge(u, v);
-    }
+    b.relabel_from(interests, &scatter);
     b.build()
 }
 

@@ -17,7 +17,9 @@ mod web;
 
 pub use copying::copying_model;
 pub use er::erdos_renyi;
+pub(crate) use pref_attach::preferential_attachment_edges;
 pub use pref_attach::{preferential_attachment, PrefAttachConfig};
 pub use rmat::{rmat, RmatConfig};
 pub use sbm::stochastic_block_model;
+pub(crate) use sbm::stochastic_block_model_edges;
 pub use web::{web_graph, WebGraphConfig};

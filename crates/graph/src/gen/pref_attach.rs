@@ -65,6 +65,15 @@ impl Default for PrefAttachConfig {
 /// per unit of in-degree (plus one baseline entry per node), so uniform
 /// sampling from the pool is preferential sampling over nodes.
 pub fn preferential_attachment(cfg: PrefAttachConfig) -> Graph {
+    let est_edges = (cfg.n as usize) * (cfg.out_degree as usize);
+    let mut b = GraphBuilder::with_capacity(cfg.n, est_edges * 2);
+    preferential_attachment_edges(cfg, &mut b);
+    b.build()
+}
+
+/// Adds the raw edges of [`preferential_attachment`] to `b`, so a recipe
+/// can blend them with other edge sets and build once.
+pub(crate) fn preferential_attachment_edges(cfg: PrefAttachConfig, b: &mut GraphBuilder) {
     let PrefAttachConfig {
         n,
         out_degree,
@@ -90,9 +99,9 @@ pub fn preferential_attachment(cfg: PrefAttachConfig) -> Graph {
         (0.0..=1.0).contains(&recency_bias),
         "recency_bias must be a probability"
     );
+    assert_eq!(b.n(), n, "builder must be sized for the config's n");
     let mut rng = StdRng::seed_from_u64(seed);
     let est_edges = (n as usize) * (out_degree as usize);
-    let mut b = GraphBuilder::with_capacity(n, est_edges * 2);
     // Pool of candidate targets, weighted by in-degree + 1.
     let mut pool: Vec<NodeId> = Vec::with_capacity(est_edges + n as usize);
     // Out-adjacency snapshot for triadic-closure draws.
@@ -146,7 +155,6 @@ pub fn preferential_attachment(cfg: PrefAttachConfig) -> Graph {
         adj.push(my_targets);
         pool.push(u); // baseline weight so new nodes are reachable as targets
     }
-    b.build()
 }
 
 #[cfg(test)]

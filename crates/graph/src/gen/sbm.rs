@@ -17,10 +17,24 @@ use rand::{Rng, SeedableRng};
 /// community-local — a stand-in for datasets collected community-by-
 /// community.
 pub fn stochastic_block_model(n: u32, blocks: u32, p_in: f64, p_out: f64, seed: u64) -> Graph {
+    let mut b = GraphBuilder::new(n);
+    stochastic_block_model_edges(blocks, p_in, p_out, seed, &mut b);
+    b.build()
+}
+
+/// Adds the raw edges of [`stochastic_block_model`] over `b`'s `n` nodes
+/// to `b`, so a recipe can blend them with other edge sets and build once.
+pub(crate) fn stochastic_block_model_edges(
+    blocks: u32,
+    p_in: f64,
+    p_out: f64,
+    seed: u64,
+    b: &mut GraphBuilder,
+) {
+    let n = b.n();
     assert!(blocks > 0 && blocks <= n.max(1), "need 1..=n blocks");
     assert!((0.0..=1.0).contains(&p_in) && (0.0..=1.0).contains(&p_out));
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::new(n);
     let block_of = |u: NodeId| u / n.div_ceil(blocks);
     // Geometric skipping over the flattened n*n adjacency matrix, switching
     // the skip distribution when crossing between in-block and out-of-block
@@ -31,11 +45,10 @@ pub fn stochastic_block_model(n: u32, blocks: u32, p_in: f64, p_out: f64, seed: 
         let bu = block_of(u);
         let row_start = (u / n.div_ceil(blocks)) * n.div_ceil(blocks);
         let row_end = ((bu + 1) * n.div_ceil(blocks)).min(n);
-        sample_range(&mut rng, u, row_start, row_end, p_in, &mut b);
-        sample_range(&mut rng, u, 0, row_start, p_out, &mut b);
-        sample_range(&mut rng, u, row_end, n, p_out, &mut b);
+        sample_range(&mut rng, u, row_start, row_end, p_in, b);
+        sample_range(&mut rng, u, 0, row_start, p_out, b);
+        sample_range(&mut rng, u, row_end, n, p_out, b);
     }
-    b.build()
 }
 
 /// Adds edges `u -> v` for `v` in `[lo, hi)` each with probability `p`,

@@ -205,14 +205,15 @@ pub fn web_graph(cfg: WebGraphConfig) -> Graph {
             }
         }
     }
-    let g = b.build();
     if fragmentation == 0.0 || n == 0 {
-        return g;
+        return b.build();
     }
     // Crawl-order imperfection: relocate a random page subset to a
     // stragglers block at the end. The main block keeps its URL order;
     // the stragglers land in discovery order (shuffled) — pages missed by
-    // the main crawl surface in an essentially arbitrary sequence.
+    // the main crawl surface in an essentially arbitrary sequence. The
+    // raw edges are renamed before the one build, which equals building
+    // and then relabelling.
     let mut main: Vec<NodeId> = Vec::with_capacity(n as usize);
     let mut stragglers: Vec<NodeId> = Vec::new();
     for p in 0..n {
@@ -227,7 +228,8 @@ pub fn web_graph(cfg: WebGraphConfig) -> Graph {
     main.extend(stragglers);
     let perm = crate::permutation::Permutation::from_placement(&main)
         .expect("fragmentation split covers every page once");
-    g.relabel(&perm)
+    b.relabel_from(0, &perm);
+    b.build()
 }
 
 #[cfg(test)]

@@ -2,8 +2,11 @@
 //!
 //! The paper's datasets ship as directed edge lists (`u v` per line, `#`
 //! comments), the format read here by [`read_edge_list`]. The binary format
-//! ([`write_binary`] / [`read_binary`]) stores the out-CSR directly so large
-//! graphs reload without re-sorting; the in-CSR is rebuilt on load.
+//! ([`write_binary`] / [`read_binary`]) stores the out-CSR directly. Both
+//! readers hand their pairs to one [`GraphBuilder`], so a loaded graph is
+//! checked and canonicalised the same way whatever its format. A binary
+//! file's rows arrive sorted, so the builder's per-row sorts only confirm
+//! the order, and the in-CSR is rebuilt by its counting sort.
 
 use crate::csr::{Graph, GraphBuilder};
 use crate::NodeId;
@@ -127,11 +130,7 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, GraphIoError> {
         }
     }
     let n = if edges.is_empty() { 0 } else { max_id + 1 };
-    let mut b = GraphBuilder::with_capacity(n, edges.len());
-    for (u, v) in edges {
-        b.add_edge(u, v);
-    }
-    Ok(b.build())
+    Ok(GraphBuilder::from_edges(n, edges).build())
 }
 
 /// Reads an edge list from a file path.
